@@ -41,17 +41,23 @@ pub use oracle::{analyze, ClassOracle, TraceOracle};
 pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use wstats::{workload_stats, WorkloadStats, DATAFLOW_WINDOWS};
 
+/// Reads the `RF_SANITIZE` switch ([`rf_prof::parse_switch`]); unset
+/// is off.
+///
+/// # Errors
+///
+/// Returns a usage message for a malformed value: `RF_SANITIZE=maybe` is
+/// an error, not a silent on.
+pub fn sanitize_mode() -> Result<bool, String> {
+    rf_prof::env_switch("RF_SANITIZE", false)
+}
+
 /// Whether sanitized simulation was requested, either at compile time
-/// (the `sanitize` cargo feature) or at run time (`RF_SANITIZE` set to
-/// anything but `0` or the empty string).
+/// (the `sanitize` cargo feature) or at run time ([`sanitize_mode`]).
+/// A malformed `RF_SANITIZE` reads as off here; binaries reject it
+/// first with [`sanitize_mode`].
 pub fn sanitize_enabled() -> bool {
-    if cfg!(feature = "sanitize") {
-        return true;
-    }
-    match std::env::var("RF_SANITIZE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
+    cfg!(feature = "sanitize") || sanitize_mode().unwrap_or(false)
 }
 
 #[cfg(test)]

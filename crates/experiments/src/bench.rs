@@ -1,9 +1,9 @@
 //! Wall-clock benchmarking and telemetry of the experiment suite.
 //!
 //! [`SuiteBench`] wraps each harness invocation, records its elapsed time
-//! together with how many simulations (and committed instructions) it
-//! actually executed, differences the process-wide stall-attribution
-//! counters per harness, optionally attaches a traced probe (a small
+//! together with the [`rf_obs::counters`] registry's counts over the
+//! harness (simulations executed, committed instructions, cycles, stall
+//! attribution, phase time), optionally attaches a traced probe (a small
 //! observed run giving full six-cause stall attribution and latency
 //! percentiles), measures the parallel speedup against a single worker,
 //! and renders everything as the `BENCH_suite.json` report.
@@ -11,11 +11,9 @@
 //! Setting `RF_LOG=text` or `RF_LOG=json` makes each timed harness emit a
 //! structured progress line on stderr as it finishes.
 
-use crate::runner::{
-    instructions_committed, phase_telemetry, runs_pruned, simulations_run, stall_telemetry,
-    RunCache, RunSpec, SimPool,
-};
-use rf_core::{skip_telemetry, NullObserver, Observer as _, Pipeline, StallCause};
+use crate::runner::{RunCache, RunSpec, SimPool};
+use rf_core::{NullObserver, Observer as _, Pipeline, StallCause};
+use rf_obs::counters::{Counter, Snapshot};
 use rf_obs::ledger::{
     AllocRecord, HarnessRecord, LedgerRecord, ModelErrorRecord, PhaseRecord, ProbeRecord,
     StoreRecord, TelemetryRecord,
@@ -32,31 +30,9 @@ pub struct Entry {
     pub name: String,
     /// Wall-clock seconds spent in the harness.
     pub seconds: f64,
-    /// Simulations executed during the harness (cache hits excluded).
-    pub sims: u64,
-    /// Sweep points the analytic-model prefilter pruned during the
-    /// harness (substituted, not simulated; 0 unless `RF_PREFILTER=1`).
-    pub pruned: u64,
-    /// Instructions committed by those simulations.
-    pub committed: u64,
-    /// Cycles simulated by those simulations.
-    pub cycles: u64,
-    /// No-free-register insert-stall cycles across those simulations.
-    pub stall_no_reg: u64,
-    /// Dispatch-queue-full insert-stall cycles across those simulations.
-    pub stall_dq_full: u64,
-    /// Cycles with an empty free list across those simulations.
-    pub no_free_cycles: u64,
-    /// Cycles the event-driven kernel bulk-accounted instead of
-    /// simulating (a subset of `cycles`).
-    pub cycles_skipped: u64,
-    /// Idle-skip jumps the kernel took during those simulations.
-    pub wakeup_events: u64,
-    /// CPU-seconds constructing trace generators during the harness.
-    pub phase_generate: f64,
-    /// CPU-seconds inside `Pipeline::run` during the harness (can exceed
-    /// `seconds` under parallel workers).
-    pub phase_simulate: f64,
+    /// The registry's counts over the harness: the snapshot after it
+    /// minus the snapshot before it.
+    pub counts: Snapshot,
     /// The traced probe attached to this harness, if any.
     pub probe: Option<ProbeSummary>,
     /// Self-profile span tree captured while the harness ran (`None`
@@ -69,11 +45,27 @@ pub struct Entry {
 }
 
 impl Entry {
+    /// Simulations executed during the harness (cache hits excluded).
+    pub fn sims(&self) -> u64 {
+        self.counts[Counter::SimsCompleted]
+    }
+
+    /// CPU-seconds constructing trace generators during the harness.
+    pub fn phase_generate(&self) -> f64 {
+        self.counts[Counter::GenerateNs] as f64 / 1e9
+    }
+
+    /// CPU-seconds inside the pipeline during the harness (can exceed
+    /// `seconds` under parallel workers).
+    pub fn phase_simulate(&self) -> f64 {
+        self.counts[Counter::SimulateNs] as f64 / 1e9
+    }
+
     /// Wall seconds not covered by the generate/simulate phases:
     /// rendering and result folding. Clamped at zero because the
     /// simulate phase is CPU time summed across workers.
     pub fn phase_aggregate(&self) -> f64 {
-        (self.seconds - self.phase_generate - self.phase_simulate).max(0.0)
+        (self.seconds - self.phase_generate() - self.phase_simulate()).max(0.0)
     }
 
     /// Whether every simulation this harness asked for came out of the
@@ -81,7 +73,7 @@ impl Entry {
     /// cache bookkeeping, not throughput, and trend analysis must skip
     /// rather than average them.
     pub fn cache_served(&self) -> bool {
-        self.sims == 0 && self.error.is_none()
+        self.sims() == 0 && self.error.is_none()
     }
 }
 
@@ -155,6 +147,7 @@ impl LogMode {
 /// (`None` when no history is available — rendered as a JSON null and
 /// omitted from the text form, never faked as zero).
 fn progress_line(mode: LogMode, done: usize, entry: &Entry, eta: Option<f64>) -> Option<String> {
+    let c = &entry.counts;
     match mode {
         LogMode::Off => None,
         LogMode::Text => {
@@ -163,12 +156,12 @@ fn progress_line(mode: LogMode, done: usize, entry: &Entry, eta: Option<f64>) ->
                  cycles={} stall_no_reg={} stall_dq_full={} no_free_cycles={}",
                 entry.name,
                 entry.seconds,
-                entry.sims,
-                entry.committed,
-                entry.cycles,
-                entry.stall_no_reg,
-                entry.stall_dq_full,
-                entry.no_free_cycles,
+                c[Counter::SimsCompleted],
+                c[Counter::InstructionsCommitted],
+                c[Counter::Cycles],
+                c[Counter::StallNoReg],
+                c[Counter::StallDqFull],
+                c[Counter::NoFreeCycles],
             );
             if let Some(eta) = eta {
                 let _ = write!(line, " eta_s={eta:.1}");
@@ -187,12 +180,12 @@ fn progress_line(mode: LogMode, done: usize, entry: &Entry, eta: Option<f64>) ->
                  \"eta_s\":{eta}}}",
                 entry.name,
                 entry.seconds,
-                entry.sims,
-                entry.committed,
-                entry.cycles,
-                entry.stall_no_reg,
-                entry.stall_dq_full,
-                entry.no_free_cycles,
+                c[Counter::SimsCompleted],
+                c[Counter::InstructionsCommitted],
+                c[Counter::Cycles],
+                c[Counter::StallNoReg],
+                c[Counter::StallDqFull],
+                c[Counter::NoFreeCycles],
             ))
         }
     }
@@ -311,10 +304,9 @@ impl SuiteBench {
         Some(eta)
     }
 
-    /// Runs one harness, recording its wall-clock time, the number of
-    /// simulations it executed, and the stall attribution those
-    /// simulations accumulated; returns the harness's report. Emits a
-    /// progress line on stderr when `RF_LOG` is `text` or `json`.
+    /// Runs one harness, recording its wall-clock time and the registry's
+    /// counts over it; returns the harness's report. Emits a progress
+    /// line on stderr when `RF_LOG` is `text` or `json`.
     pub fn time(&mut self, name: &str, harness: impl FnOnce() -> String) -> String {
         self.try_time(name, harness).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -330,37 +322,21 @@ impl SuiteBench {
         harness: impl FnOnce() -> String,
     ) -> Result<String, String> {
         rf_obs::live::harness_started(name);
-        let sims0 = simulations_run();
-        let pruned0 = runs_pruned();
-        let committed0 = instructions_committed();
-        let (cycles0, no_reg0, dq_full0, no_free0) = stall_telemetry();
-        let (gen0, sim0) = phase_telemetry();
-        let (skipped0, wakeups0) = skip_telemetry();
+        let before = Snapshot::take();
         let start = Instant::now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(harness))
             .map_err(|payload| {
                 format!("harness {name:?} failed: {}", crate::runner::payload_text(payload.as_ref()))
             });
-        let (cycles1, no_reg1, dq_full1, no_free1) = stall_telemetry();
-        let (gen1, sim1) = phase_telemetry();
-        let (skipped1, wakeups1) = skip_telemetry();
+        let seconds = start.elapsed().as_secs_f64();
+        let counts = Snapshot::take().since(&before);
         // `collect` drains everything profiled since the last drain, so
         // each harness gets exactly the spans recorded on its watch.
         let profile = rf_prof::collect();
         self.entries.push(Entry {
             name: name.to_owned(),
-            seconds: start.elapsed().as_secs_f64(),
-            sims: simulations_run() - sims0,
-            pruned: runs_pruned() - pruned0,
-            committed: instructions_committed() - committed0,
-            cycles: cycles1 - cycles0,
-            stall_no_reg: no_reg1 - no_reg0,
-            stall_dq_full: dq_full1 - dq_full0,
-            no_free_cycles: no_free1 - no_free0,
-            cycles_skipped: skipped1 - skipped0,
-            wakeup_events: wakeups1 - wakeups0,
-            phase_generate: (gen1 - gen0) as f64 / 1e9,
-            phase_simulate: (sim1 - sim0) as f64 / 1e9,
+            seconds,
+            counts,
             probe: None,
             profile,
             error: outcome.as_ref().err().cloned(),
@@ -430,20 +406,24 @@ impl SuiteBench {
         speedup
     }
 
+    /// The sum of `counter` over every timed harness.
+    fn harness_total(&self, counter: Counter) -> u64 {
+        self.entries.iter().map(|e| e.counts[counter]).sum()
+    }
+
     /// Renders the benchmark report as JSON.
     pub fn to_json(&self) -> String {
         let total: f64 = self.started.elapsed().as_secs_f64();
-        let sims: u64 = self.entries.iter().map(|e| e.sims).sum();
-        let committed: u64 = self.entries.iter().map(|e| e.committed).sum();
+        let sims = self.harness_total(Counter::SimsCompleted);
+        let committed = self.harness_total(Counter::InstructionsCommitted);
         let harness_time: f64 = self.entries.iter().map(|e| e.seconds).sum();
         let cache = RunCache::global();
+        let now = Snapshot::take();
         let mut out = String::from("{\n");
         let _ = writeln!(out, "  \"jobs\": {},", SimPool::from_env().jobs());
         let _ = writeln!(out, "  \"commits_per_run\": {},", self.commits);
         let _ = writeln!(out, "  \"total_seconds\": {total:.3},");
         let _ = writeln!(out, "  \"simulations\": {sims},");
-        let pruned: u64 = self.entries.iter().map(|e| e.pruned).sum();
-        let _ = writeln!(out, "  \"pruned\": {pruned},");
         let _ = writeln!(out, "  \"instructions_committed\": {committed},");
         let _ = writeln!(out, "  \"sims_per_second\": {:.3},", rate(sims as f64, harness_time));
         let _ = writeln!(
@@ -451,8 +431,8 @@ impl SuiteBench {
             "  \"committed_per_second\": {:.1},",
             rate(committed as f64, harness_time)
         );
-        let _ = writeln!(out, "  \"cache_hits\": {},", cache.hits());
-        let _ = writeln!(out, "  \"cache_misses\": {},", cache.misses());
+        let _ = writeln!(out, "  \"cache_hits\": {},", now[Counter::CacheHits]);
+        let _ = writeln!(out, "  \"cache_misses\": {},", now[Counter::CacheMisses]);
         match cache.capacity() {
             Some(cap) => {
                 let _ = writeln!(out, "  \"cache_capacity\": {cap},");
@@ -461,9 +441,9 @@ impl SuiteBench {
                 let _ = writeln!(out, "  \"cache_capacity\": null,");
             }
         }
-        let _ = writeln!(out, "  \"cache_evictions\": {},", cache.evictions());
+        let _ = writeln!(out, "  \"cache_evictions\": {},", now[Counter::CacheEvictions]);
         let _ = writeln!(out, "  \"cache_resident_bytes\": {},", cache.resident_bytes());
-        match crate::runner::store_counters() {
+        match crate::runner::store_counters(&now) {
             Some((hits, misses, writes)) => {
                 let _ = writeln!(
                     out,
@@ -509,31 +489,31 @@ impl SuiteBench {
         }
         out.push_str("  \"harnesses\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
+            let c = &e.counts;
             // A fully cache-served harness has no throughput of its own:
             // null, not a zero that trend averaging would ingest.
-            let cps = if e.sims == 0 {
+            let cps = if e.sims() == 0 {
                 "null".to_owned()
             } else {
-                format!("{:.3}", rate(e.cycles as f64, e.seconds))
+                format!("{:.3}", rate(c[Counter::Cycles] as f64, e.seconds))
             };
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"simulations\": {}, \
-                 \"pruned\": {}, \"instructions_committed\": {}, \"cycles\": {}, \
+                 \"instructions_committed\": {}, \"cycles\": {}, \
                  \"stall_no_reg\": {}, \"stall_dq_full\": {}, \"no_free_cycles\": {}, \
                  \"cycles_skipped\": {}, \"wakeup_events\": {}, \
                  \"cache_served\": {}, \"cycles_per_second\": {cps}",
                 e.name,
                 e.seconds,
-                e.sims,
-                e.pruned,
-                e.committed,
-                e.cycles,
-                e.stall_no_reg,
-                e.stall_dq_full,
-                e.no_free_cycles,
-                e.cycles_skipped,
-                e.wakeup_events,
+                c[Counter::SimsCompleted],
+                c[Counter::InstructionsCommitted],
+                c[Counter::Cycles],
+                c[Counter::StallNoReg],
+                c[Counter::StallDqFull],
+                c[Counter::NoFreeCycles],
+                c[Counter::CyclesSkipped],
+                c[Counter::WakeupEvents],
                 e.cache_served(),
             );
             if let Some(p) = &e.profile {
@@ -585,25 +565,25 @@ impl SuiteBench {
     /// (`profile-alloc` feature).
     pub fn to_ledger_record(&self, headlines: Vec<(String, f64)>) -> LedgerRecord {
         let cache = RunCache::global();
+        let now = Snapshot::take();
         let harnesses: Vec<HarnessRecord> = self
             .entries
             .iter()
             .map(|e| HarnessRecord {
                 name: e.name.clone(),
                 seconds: e.seconds,
-                sims: e.sims,
-                pruned: e.pruned,
-                committed: e.committed,
-                cycles: e.cycles,
-                stall_no_reg: e.stall_no_reg,
-                stall_dq_full: e.stall_dq_full,
-                no_free_cycles: e.no_free_cycles,
-                cycles_skipped: e.cycles_skipped,
-                wakeup_events: e.wakeup_events,
+                sims: e.sims(),
+                committed: e.counts[Counter::InstructionsCommitted],
+                cycles: e.counts[Counter::Cycles],
+                stall_no_reg: e.counts[Counter::StallNoReg],
+                stall_dq_full: e.counts[Counter::StallDqFull],
+                no_free_cycles: e.counts[Counter::NoFreeCycles],
+                cycles_skipped: e.counts[Counter::CyclesSkipped],
+                wakeup_events: e.counts[Counter::WakeupEvents],
                 cache_served: e.cache_served(),
                 phase: PhaseRecord {
-                    generate: e.phase_generate,
-                    simulate: e.phase_simulate,
+                    generate: e.phase_generate(),
+                    simulate: e.phase_simulate(),
                     aggregate: e.phase_aggregate(),
                 },
                 profile: e.profile.clone(),
@@ -634,20 +614,20 @@ impl SuiteBench {
             cache: cache.is_enabled(),
             sanitize: self.sanitizer.is_some(),
             total_seconds: self.started.elapsed().as_secs_f64(),
-            sims: self.entries.iter().map(|e| e.sims).sum(),
-            committed: self.entries.iter().map(|e| e.committed).sum(),
-            cycles: self.entries.iter().map(|e| e.cycles).sum(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
+            sims: self.harness_total(Counter::SimsCompleted),
+            committed: self.harness_total(Counter::InstructionsCommitted),
+            cycles: self.harness_total(Counter::Cycles),
+            cache_hits: now[Counter::CacheHits],
+            cache_misses: now[Counter::CacheMisses],
             cache_capacity: cache.capacity().map(|c| c as u64),
-            cache_evictions: cache.evictions(),
+            cache_evictions: now[Counter::CacheEvictions],
             cache_resident_bytes: cache.resident_bytes(),
             harnesses,
             headlines,
             model_error: self.model_error.clone(),
             alloc,
             telemetry: self.telemetry.clone(),
-            store: crate::runner::store_counters()
+            store: crate::runner::store_counters(&now)
                 .map(|(hits, misses, writes)| StoreRecord { hits, misses, writes }),
         }
     }
@@ -657,11 +637,11 @@ impl SuiteBench {
     /// wall time, so log scrapers don't have to re-sum harness lines.
     pub fn suite_summary_line(&self) -> Option<String> {
         let total = self.started.elapsed().as_secs_f64();
-        let sims: u64 = self.entries.iter().map(|e| e.sims).sum();
-        let committed: u64 = self.entries.iter().map(|e| e.committed).sum();
-        let cache = RunCache::global();
-        let lookups = cache.hits() + cache.misses();
-        let hit_rate = rate(cache.hits() as f64, lookups as f64);
+        let sims = self.harness_total(Counter::SimsCompleted);
+        let committed = self.harness_total(Counter::InstructionsCommitted);
+        let now = Snapshot::take();
+        let (hits, misses) = (now[Counter::CacheHits], now[Counter::CacheMisses]);
+        let hit_rate = rate(hits as f64, (hits + misses) as f64);
         match self.log {
             LogMode::Off => None,
             LogMode::Text => Some(format!(
@@ -673,11 +653,9 @@ impl SuiteBench {
             LogMode::Json => Some(format!(
                 "{{\"event\":\"suite\",\"harnesses\":{},\"seconds\":{total:.3},\
                  \"simulations\":{sims},\"instructions_committed\":{committed},\
-                 \"cache_hits\":{},\"cache_misses\":{},\"cache_hit_rate\":{hit_rate:.3},\
-                 \"jobs\":{}}}",
+                 \"cache_hits\":{hits},\"cache_misses\":{misses},\
+                 \"cache_hit_rate\":{hit_rate:.3},\"jobs\":{}}}",
                 self.entries.len(),
-                cache.hits(),
-                cache.misses(),
                 SimPool::from_env().jobs(),
             )),
         }
@@ -724,11 +702,14 @@ mod tests {
         assert_eq!(report, "1000");
         let e = &bench.entries()[0];
         assert_eq!(e.name, "tiny");
-        assert_eq!(e.sims, 1);
-        assert_eq!(e.committed, 1_000);
+        // The registry is process-wide and other tests in this binary
+        // simulate concurrently, so the harness's counts are lower
+        // bounds here; the suite binary times harnesses one at a time.
+        assert!(e.sims() >= 1, "simulation not counted");
+        assert!(e.counts[Counter::InstructionsCommitted] >= 1_000);
         assert!(e.seconds >= 0.0);
-        assert!(e.cycles > 0, "cycle delta not recorded");
-        assert!(e.stall_dq_full > 0, "dq-full stalls not recorded");
+        assert!(e.counts[Counter::Cycles] > 0, "cycle delta not recorded");
+        assert!(e.counts[Counter::StallDqFull] > 0, "dq-full stalls not recorded");
     }
 
     #[test]
@@ -835,20 +816,14 @@ mod tests {
 
     #[test]
     fn progress_lines_follow_rf_log_mode() {
+        let mut counts = Snapshot::default();
+        counts[Counter::SimsCompleted] = 9;
+        counts[Counter::InstructionsCommitted] = 90_000;
+        counts[Counter::StallDqFull] = 7;
         let entry = Entry {
             name: "fig3".into(),
             seconds: 1.25,
-            sims: 9,
-            pruned: 0,
-            committed: 90_000,
-            cycles: 30_000,
-            stall_no_reg: 5,
-            stall_dq_full: 7,
-            no_free_cycles: 11,
-            cycles_skipped: 12_000,
-            wakeup_events: 600,
-            phase_generate: 0.05,
-            phase_simulate: 1.0,
+            counts,
             probe: None,
             profile: None,
             error: None,
@@ -890,27 +865,20 @@ mod tests {
 
     #[test]
     fn entry_phase_aggregate_is_clamped_residual() {
+        let mut counts = Snapshot::default();
+        counts[Counter::GenerateNs] = 250_000_000;
+        counts[Counter::SimulateNs] = 1_250_000_000;
         let mut entry = Entry {
             name: "x".into(),
             seconds: 2.0,
-            sims: 1,
-            pruned: 0,
-            committed: 1,
-            cycles: 1,
-            stall_no_reg: 0,
-            stall_dq_full: 0,
-            no_free_cycles: 0,
-            cycles_skipped: 0,
-            wakeup_events: 0,
-            phase_generate: 0.25,
-            phase_simulate: 1.25,
+            counts,
             probe: None,
             profile: None,
             error: None,
         };
         assert!((entry.phase_aggregate() - 0.5).abs() < 1e-12);
         // Parallel workers: summed CPU time exceeds wall time.
-        entry.phase_simulate = 7.0;
+        entry.counts[Counter::SimulateNs] = 7_000_000_000;
         assert_eq!(entry.phase_aggregate(), 0.0);
     }
 
@@ -928,7 +896,7 @@ mod tests {
         assert_eq!(record.harnesses.len(), 1);
         let h = &record.harnesses[0];
         assert_eq!(h.name, "tiny");
-        assert_eq!(h.sims, 1);
+        assert!(h.sims >= 1, "concurrent tests may add simulations");
         assert!(h.phase.simulate > 0.0, "simulate phase timed");
         assert!(h.phase.generate >= 0.0);
         let probe = h.probe.as_ref().expect("probe recorded");

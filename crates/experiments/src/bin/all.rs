@@ -76,9 +76,6 @@ environment:
                   and warm re-runs are served from disk byte-identically
   RF_STORE_DIR    store directory (default: results/store)
   RF_LOG          text|json progress lines on stderr
-  RF_PREFILTER    1/on/true/yes lets the rf-model analytic prefilter
-                  prune saturated register-sweep points (substituted
-                  estimates; pruned counts land in the reports)
   RF_PROFILE      1/on/true/yes embeds rf-prof self-profiles in the
                   suite report and ledger record
   RF_TELEMETRY    1/on/true/yes streams live counter snapshots to
@@ -292,8 +289,8 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     bench.set_plan(&names, medians);
     // Live telemetry (RF_TELEMETRY=1): sampler + optional /metrics
     // endpoint over the harness loop; `finalize` below stops it before
-    // the out-of-band calibration passes so the final snapshot's
-    // counters reconcile exactly with the BENCH_suite.json totals.
+    // the out-of-band calibration passes, so the final snapshot covers
+    // the harnesses only.
     if let Some(cfg) = rf_obs::live::env_config().expect("telemetry env validated in main") {
         let jobs = rf_experiments::runner::SimPool::from_env().jobs() as u64;
         rf_obs::live::start(&cfg, scale.commits, jobs, experiments.len() as u64)?;
@@ -319,7 +316,8 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
                 let timed = bench.entries().last().expect("just recorded");
                 println!(
                     "== {name} ({:.1}s, {} sims) -> {path}\n{report}",
-                    timed.seconds, timed.sims
+                    timed.seconds,
+                    timed.sims()
                 );
             }
             Err(message) => {
@@ -348,8 +346,12 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
             digest: t.digest,
         });
     }
-    let speedup = bench.measure_speedup(scale.commits.min(10_000));
-    println!("parallel speedup vs 1 worker: {speedup:.2}x");
+    // A one-worker pool has nothing to compare against itself: the
+    // report's speedup stays null instead of a noise reading.
+    if runner::SimPool::from_env().jobs() > 1 {
+        let speedup = bench.measure_speedup(scale.commits.min(10_000));
+        println!("parallel speedup vs 1 worker: {speedup:.2}x");
+    }
     // Sanitized probes: invariant-checked simulations over a small corner
     // of the configuration space, so every suite report certifies the
     // rename/freeing protocol of the binary that produced it.
@@ -371,7 +373,8 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
     // fsyncs would serialize the pool on disk latency, and an unsynced
     // tail is dropped cleanly by the next reader's checksum scan.
     runner::store_sync();
-    if let Some((hits, misses, writes)) = runner::store_counters() {
+    let counts = rf_obs::counters::Snapshot::take();
+    if let Some((hits, misses, writes)) = runner::store_counters(&counts) {
         println!("store: {hits} hits, {misses} misses, {writes} writes");
     }
     let json = bench.to_json();

@@ -20,12 +20,19 @@
 //! error, never a silent fall-back to the default. Binaries should call
 //! [`validate_env`] at startup to turn that into a clean exit instead of
 //! a panic.
+//!
+//! # Counters
+//!
+//! Every simulation, run-cache lookup and store lookup counts into the
+//! [`rf_obs::counters`] registry and nowhere else; the suite's reports
+//! render snapshots of it.
 
 use rf_bpred::PredictorKind;
 use rf_core::{
     CancelToken, ExceptionModel, MachineConfig, Pipeline, SchedPolicy, SimStats,
 };
 use rf_mem::{CacheConfig, CacheOrg};
+use rf_obs::counters::{Counter, Snapshot};
 use rf_workload::{spec92, TraceGenerator};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,8 +68,8 @@ fn env_u64(name: &str) -> Result<Option<u64>, String> {
 }
 
 /// Validates every runner environment variable (`RF_COMMITS`, `RF_JOBS`,
-/// `RF_CACHE`, `RF_CACHE_CAP`, `RF_PREFILTER`, `RF_STORE`,
-/// `RF_STORE_DIR`, `RF_PROFILE`, `RF_TELEMETRY`,
+/// `RF_CACHE`, `RF_CACHE_CAP`, `RF_STORE`, `RF_STORE_DIR`,
+/// `RF_SANITIZE`, `RF_PROFILE`, `RF_TELEMETRY`,
 /// `RF_TELEMETRY_INTERVAL_MS`, `RF_METRICS_ADDR`)
 /// without acting on any of them, so a binary can fail fast with one
 /// clear message before doing work.
@@ -74,9 +81,9 @@ pub fn validate_env() -> Result<(), String> {
     Scale::try_from_env()?;
     SimPool::try_from_env()?;
     cache_env_mode()?;
-    prefilter_env_mode()?;
     store_env_mode()?;
-    rf_prof::env_mode()?;
+    rf_check::sanitize_mode()?;
+    rf_prof::env_switch("RF_PROFILE", false)?;
     rf_obs::live::env_config()?;
     Ok(())
 }
@@ -99,110 +106,7 @@ pub fn store_env_mode() -> Result<Option<std::path::PathBuf>, String> {
         }
         Ok(raw) => std::path::PathBuf::from(raw),
     };
-    match std::env::var("RF_STORE") {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(None),
-            "1" | "on" | "true" | "yes" => Ok(Some(dir)),
-            _ => Err(format!(
-                "RF_STORE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
-/// Validates the `RF_PREFILTER` toggle for analytic-model sweep
-/// pre-filtering and returns whether it is enabled (unset means
-/// disabled — pruning substitutes model-backed estimates for dominated
-/// sweep points, so it is strictly opt-in).
-///
-/// # Errors
-///
-/// Returns a message naming the malformed value.
-pub fn prefilter_env_mode() -> Result<bool, String> {
-    match std::env::var("RF_PREFILTER") {
-        Err(_) => Ok(false),
-        Ok(raw) => match raw.to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => Ok(false),
-            "1" | "on" | "true" | "yes" => Ok(true),
-            _ => Err(format!(
-                "RF_PREFILTER={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-            )),
-        },
-    }
-}
-
-/// Computes the prefilter's pruning plan for one deduplicated batch:
-/// a map from pruned task index to the representative task index whose
-/// (simulated) result substitutes for it. Empty when `enabled` is
-/// false, when no group of tasks differs only in register count, or
-/// when the model finds fewer than two saturated members per group.
-/// Callers pass [`prefilter_env_mode`]'s verdict for `enabled`.
-fn prefilter_plan(tasks: &[&RunSpec], enabled: bool) -> HashMap<usize, usize> {
-    let mut plan = HashMap::new();
-    if !enabled || tasks.len() < 2 {
-        return plan;
-    }
-    let mut groups: HashMap<RunSpec, Vec<usize>> = HashMap::new();
-    for (t, spec) in tasks.iter().enumerate() {
-        let mut key = (*spec).clone();
-        key.regs = 0;
-        groups.entry(key).or_default().push(t);
-    }
-    for members in groups.into_values() {
-        if members.len() < 2 {
-            continue;
-        }
-        let lead = tasks[members[0]];
-        let insert_bw = lead.machine_config().effective_insert_bandwidth();
-        let Some(demand) = cached_demand(&lead.benchmark, lead.commits, lead.seed, insert_bw)
-        else {
-            continue;
-        };
-        let threshold = rf_model::saturation_regs(demand, lead.width);
-        let regs: Vec<usize> = members.iter().map(|&t| tasks[t].regs).collect();
-        if let Some((rep, pruned)) = rf_model::plan_regs_sweep(&regs, threshold) {
-            for p in pruned {
-                plan.insert(members[p], members[rep]);
-            }
-        }
-    }
-    plan
-}
-
-/// Memoized [`rf_model::demand_profile`]: the oracle pass is cheap
-/// relative to a simulation but not to a cache hit, and sweep harnesses
-/// re-plan the same workload for every batch.
-fn cached_demand(
-    bench: &str,
-    commits: u64,
-    seed: u64,
-    insert_bw: usize,
-) -> Option<[usize; 2]> {
-    type DemandKey = (String, u64, u64, usize);
-    static DEMANDS: OnceLock<Mutex<HashMap<DemandKey, Option<[usize; 2]>>>> = OnceLock::new();
-    let memo = DEMANDS.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (bench.to_owned(), commits, seed, insert_bw);
-    if let Some(found) = memo.lock().unwrap_or_else(PoisonError::into_inner).get(&key) {
-        return *found;
-    }
-    let demand = rf_model::demand_profile(bench, commits, seed, insert_bw);
-    memo.lock().unwrap_or_else(PoisonError::into_inner).insert(key, demand);
-    demand
-}
-
-/// Builds the stand-in statistics for a pruned sweep point from its
-/// representative's measured run: identical counters, with the liveness
-/// histograms zero-padded out to the pruned point's (larger) register
-/// file so downstream percentile code sees the expected bin count.
-fn substitute_stats(rep: &SimStats, regs: usize) -> SimStats {
-    let mut stats = rep.clone();
-    for hist in stats.live_hist.iter_mut().chain(stats.live_hist_imprecise.iter_mut()) {
-        if hist.len() < regs + 1 {
-            hist.resize(regs + 1, 0);
-        }
-    }
-    stats
+    Ok(rf_prof::env_switch("RF_STORE", false)?.then_some(dir))
 }
 
 impl Scale {
@@ -402,78 +306,6 @@ impl RunSpec {
     }
 }
 
-/// Simulations executed process-wide (cache hits excluded); feeds the
-/// benchmark report.
-static SIM_RUNS: AtomicU64 = AtomicU64::new(0);
-/// Instructions committed by executed simulations, process-wide.
-static SIM_COMMITS: AtomicU64 = AtomicU64::new(0);
-/// Cycles simulated by executed simulations, process-wide.
-static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
-/// Insert-stalled cycles (no free register), summed over executed
-/// simulations.
-static SIM_STALL_NO_REG: AtomicU64 = AtomicU64::new(0);
-/// Insert-stalled cycles (dispatch queue full), summed over executed
-/// simulations.
-static SIM_STALL_DQ_FULL: AtomicU64 = AtomicU64::new(0);
-/// Cycles with an empty free list (either class), summed over executed
-/// simulations.
-static SIM_NO_FREE_CYCLES: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent constructing trace generators, summed over workers.
-static PHASE_GEN_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Nanoseconds spent inside `Pipeline::run`, summed over workers.
-static PHASE_SIM_NANOS: AtomicU64 = AtomicU64::new(0);
-/// Sweep points pruned by the analytic-model prefilter (`RF_PREFILTER=1`)
-/// instead of simulated, process-wide.
-static PRUNED_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of simulations actually executed so far in this process
-/// (run-cache hits do not count).
-pub fn simulations_run() -> u64 {
-    SIM_RUNS.load(Ordering::Relaxed)
-}
-
-/// Instructions committed by simulations actually executed so far in
-/// this process.
-pub fn instructions_committed() -> u64 {
-    SIM_COMMITS.load(Ordering::Relaxed)
-}
-
-/// Sweep points the analytic-model prefilter pruned (substituted with a
-/// model-backed estimate instead of simulating) so far in this process.
-/// Always 0 unless `RF_PREFILTER=1`.
-pub fn runs_pruned() -> u64 {
-    PRUNED_RUNS.load(Ordering::Relaxed)
-}
-
-/// Process-wide stall attribution accumulated from every executed
-/// simulation's statistics: `(cycles, no-free-reg insert stalls, dq-full
-/// insert stalls, empty-free-list cycles)`.
-///
-/// These come straight out of [`SimStats`], so they are free to collect
-/// (no observer attached) and deterministic across worker counts; the
-/// suite benchmark report differences them per harness.
-pub fn stall_telemetry() -> (u64, u64, u64, u64) {
-    (
-        SIM_CYCLES.load(Ordering::Relaxed),
-        SIM_STALL_NO_REG.load(Ordering::Relaxed),
-        SIM_STALL_DQ_FULL.load(Ordering::Relaxed),
-        SIM_NO_FREE_CYCLES.load(Ordering::Relaxed),
-    )
-}
-
-/// Phase CPU time accumulated by every executed simulation, in
-/// nanoseconds: `(generator construction, pipeline simulation)`.
-///
-/// Workers accumulate concurrently, so these are CPU-seconds: under
-/// `RF_JOBS` parallelism the simulate phase can legitimately exceed the
-/// harness's wall time. Trace *generation* is lazy (it interleaves with
-/// simulation inside `Pipeline::run`), so the generate phase covers
-/// generator construction only; the interleaved generation cost is part
-/// of the simulate phase by construction.
-pub fn phase_telemetry() -> (u64, u64) {
-    (PHASE_GEN_NANOS.load(Ordering::Relaxed), PHASE_SIM_NANOS.load(Ordering::Relaxed))
-}
-
 /// Why a simulation point could not produce statistics.
 ///
 /// Every failure is scoped to the one [`RunSpec`] that caused it:
@@ -555,9 +387,9 @@ pub(crate) fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one simulation point (always executes; no caching), isolating
 /// failures: an unknown benchmark, a panicking worker, or a fired
 /// cancellation token each map to a typed [`RunError`] instead of
-/// unwinding into the caller. On success the process-wide telemetry
-/// counters are updated exactly as they always were; a failed run
-/// contributes nothing to them.
+/// unwinding into the caller. Every run counts as started and then as
+/// completed or failed in the [`rf_obs::counters`] registry; only a
+/// completed run adds its instructions, cycles, stalls and phase time.
 ///
 /// # Errors
 ///
@@ -579,7 +411,7 @@ fn try_simulate_cancellable(
     cancel: Option<&CancelToken>,
     deadline_ms: u64,
 ) -> Result<SimStats, RunError> {
-    rf_obs::live::sim_started();
+    Counter::SimsStarted.add(1);
     #[cfg(any(test, feature = "fault-probe"))]
     if spec.benchmark == FAULT_BENCHMARK {
         // The probe panics *inside* the isolation boundary, like a real
@@ -588,14 +420,14 @@ fn try_simulate_cancellable(
             panic!("injected fault probe");
         });
         let payload = caught.expect_err("probe always panics");
-        rf_obs::live::sim_failed();
+        Counter::SimsFailed.add(1);
         return Err(RunError::WorkerPanic {
             benchmark: spec.benchmark.clone(),
             payload: payload_text(payload.as_ref()),
         });
     }
     let profile = spec92::by_name(&spec.benchmark).ok_or_else(|| {
-        rf_obs::live::sim_failed();
+        Counter::SimsFailed.add(1);
         RunError::UnknownBenchmark { benchmark: spec.benchmark.clone() }
     })?;
     let gen_start = Instant::now();
@@ -619,29 +451,28 @@ fn try_simulate_cancellable(
     let stats = match caught {
         Ok(Ok(stats)) => stats,
         Ok(Err(_cancelled)) => {
-            rf_obs::live::sim_failed();
+            Counter::SimsFailed.add(1);
             return Err(RunError::DeadlineExceeded {
                 benchmark: spec.benchmark.clone(),
                 deadline_ms,
             });
         }
         Err(payload) => {
-            rf_obs::live::sim_failed();
+            Counter::SimsFailed.add(1);
             return Err(RunError::WorkerPanic {
                 benchmark: spec.benchmark.clone(),
                 payload: payload_text(payload.as_ref()),
             });
         }
     };
-    PHASE_GEN_NANOS.fetch_add(gen_nanos, Ordering::Relaxed);
-    PHASE_SIM_NANOS.fetch_add(sim_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    SIM_RUNS.fetch_add(1, Ordering::Relaxed);
-    SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    SIM_STALL_NO_REG.fetch_add(stats.insert_stall_no_reg, Ordering::Relaxed);
-    SIM_STALL_DQ_FULL.fetch_add(stats.insert_stall_dq_full, Ordering::Relaxed);
-    SIM_NO_FREE_CYCLES.fetch_add(stats.no_free_any_cycles, Ordering::Relaxed);
-    rf_obs::live::sim_completed(stats.committed, stats.cycles);
+    Counter::GenerateNs.add(gen_nanos);
+    Counter::SimulateNs.add(sim_start.elapsed().as_nanos() as u64);
+    Counter::SimsCompleted.add(1);
+    Counter::InstructionsCommitted.add(stats.committed);
+    Counter::Cycles.add(stats.cycles);
+    Counter::StallNoReg.add(stats.insert_stall_no_reg);
+    Counter::StallDqFull.add(stats.insert_stall_dq_full);
+    Counter::NoFreeCycles.add(stats.no_free_any_cycles);
     Ok(stats)
 }
 
@@ -659,11 +490,8 @@ pub fn simulate(spec: &RunSpec) -> SimStats {
 /// Parses the cache environment variables strictly, returning
 /// `(enabled, capacity)`.
 ///
-/// `RF_CACHE` accepts `0`/`off`/`false`/`no` (disabled) and
-/// `1`/`on`/`true`/`yes` (enabled, the default when unset),
-/// case-insensitively; anything else is an error — `RF_CACHE=off` used
-/// to silently leave the cache enabled, which is exactly the trap this
-/// closes. `RF_CACHE_CAP` bounds the cache to that many entries (LRU
+/// `RF_CACHE` is an on/off switch ([`rf_prof::parse_switch`]), enabled
+/// when unset. `RF_CACHE_CAP` bounds the cache to that many entries (LRU
 /// eviction); it must be a positive integer (`RF_CACHE=0` is how you
 /// disable the cache, not `RF_CACHE_CAP=0`).
 ///
@@ -671,18 +499,7 @@ pub fn simulate(spec: &RunSpec) -> SimStats {
 ///
 /// Returns a message naming the malformed variable and value.
 pub fn cache_env_mode() -> Result<(bool, Option<usize>), String> {
-    let enabled = match std::env::var("RF_CACHE") {
-        Err(_) => true,
-        Ok(raw) => match raw.trim().to_ascii_lowercase().as_str() {
-            "0" | "off" | "false" | "no" => false,
-            "1" | "on" | "true" | "yes" => true,
-            _ => {
-                return Err(format!(
-                    "RF_CACHE={raw:?} is not recognized (use 0/off/false/no or 1/on/true/yes)"
-                ))
-            }
-        },
-    };
+    let enabled = rf_prof::env_switch("RF_CACHE", true)?;
     let cap = match env_u64("RF_CACHE_CAP")? {
         None => None,
         Some(0) => {
@@ -752,23 +569,25 @@ fn entry_bytes(spec: &RunSpec, stats: &SimStats) -> u64 {
 ///   `RF_CACHE_CAP`, or `--cache-cap` on the suite binary), inserting
 ///   beyond the capacity evicts least-recently-used entries; evictions
 ///   and resident bytes are tracked for the suite report and ledger.
+///
+/// The global instance counts its hits, misses and evictions in the
+/// [`rf_obs::counters`] registry, which every suite report renders.
+/// Private instances count in their own cells, so tests and probes
+/// never move the suite's totals.
 #[derive(Debug, Default)]
 pub struct RunCache {
     inner: Mutex<CacheInner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    /// Hit, miss and eviction cells of a private instance.
+    own: [AtomicU64; 3],
+    /// Whether this is the global instance (counting in the registry).
+    global: bool,
     poison_recoveries: AtomicU64,
     disabled: bool,
     /// Maximum resident entries (`None` = unbounded).
     cap: Option<usize>,
-    /// Whether lookups and evictions also feed the live-telemetry
-    /// counters ([`rf_obs::live`]). Only the global instance reports:
-    /// the suite's final snapshot must reconcile exactly with the
-    /// `BENCH_suite.json` cache totals, which come from the global
-    /// cache alone, and private/test caches would skew them.
-    report_live: bool,
 }
+
+
 
 impl RunCache {
     /// Creates an empty, enabled, unbounded cache.
@@ -805,7 +624,7 @@ impl RunCache {
                 (true, Some(cap)) => RunCache::bounded(cap),
                 (true, None) => RunCache::new(),
             };
-            cache.report_live = true;
+            cache.global = true;
             cache
         })
     }
@@ -819,6 +638,31 @@ impl RunCache {
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
         })
+    }
+
+    /// A private instance's cell for a hit, miss or eviction `event`;
+    /// `None` for the global instance, which counts in the registry.
+    fn own_cell(&self, event: Counter) -> Option<&AtomicU64> {
+        let i = match event {
+            Counter::CacheHits => 0,
+            Counter::CacheMisses => 1,
+            _ => 2,
+        };
+        (!self.global).then(|| &self.own[i])
+    }
+
+    fn count(&self, event: Counter) {
+        match self.own_cell(event) {
+            Some(cell) => {
+                cell.fetch_add(1, Ordering::Relaxed);
+            }
+            None => event.add(1),
+        }
+    }
+
+    fn total(&self, event: Counter) -> u64 {
+        self.own_cell(event)
+            .map_or_else(|| Snapshot::take()[event], |cell| cell.load(Ordering::Relaxed))
     }
 
     /// Whether this cache stores results.
@@ -835,10 +679,7 @@ impl RunCache {
     /// entry's LRU stamp.
     pub fn get(&self, spec: &RunSpec) -> Option<Arc<SimStats>> {
         if self.disabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            if self.report_live {
-                rf_obs::live::cache_miss();
-            }
+            self.count(Counter::CacheMisses);
             return None;
         }
         let digest = crate::codec::spec_digest(spec);
@@ -854,20 +695,7 @@ impl RunCache {
                 Arc::clone(&entry.stats)
             });
         drop(inner);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                if self.report_live {
-                    rf_obs::live::cache_hit();
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if self.report_live {
-                    rf_obs::live::cache_miss();
-                }
-            }
-        }
+        self.count(if found.is_some() { Counter::CacheHits } else { Counter::CacheMisses });
         found
     }
 
@@ -913,26 +741,23 @@ impl RunCache {
                 .expect("over-capacity map is non-empty");
             let evicted = inner.map.remove(&victim).expect("victim just found");
             inner.bytes -= evicted.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            if self.report_live {
-                rf_obs::live::cache_evicted(1);
-            }
+            self.count(Counter::CacheEvictions);
         }
     }
 
     /// Lookups served from the cache so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.total(Counter::CacheHits)
     }
 
     /// Lookups that required a simulation so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.total(Counter::CacheMisses)
     }
 
     /// Entries evicted by the LRU bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.total(Counter::CacheEvictions)
     }
 
     /// Times a poisoned lock was recovered (a worker died mid-update).
@@ -971,9 +796,6 @@ struct StoreTier {
     snapshot: rf_store::Snapshot,
     /// Digests appended by this process (the snapshot cannot see them).
     written: Mutex<std::collections::HashSet<rf_store::Digest>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
     /// Latch so a persistent I/O failure warns once, not per record.
     io_warned: std::sync::atomic::AtomicBool,
 }
@@ -999,9 +821,6 @@ impl StoreTier {
                     store,
                     snapshot,
                     written: Mutex::new(std::collections::HashSet::new()),
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    writes: AtomicU64::new(0),
                     io_warned: std::sync::atomic::AtomicBool::new(false),
                 }),
                 Err(e) => {
@@ -1034,16 +853,7 @@ impl StoreTier {
                     None
                 }
             });
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_hit();
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_miss();
-            }
-        }
+        if found.is_some() { Counter::StoreHits } else { Counter::StoreMisses }.add(1);
         found
     }
 
@@ -1064,10 +874,7 @@ impl StoreTier {
         }
         let payload = crate::codec::encode_stats(stats);
         match self.store.append(crate::codec::DIGEST_SCHEMA, digest, &key, &payload) {
-            Ok(()) => {
-                self.writes.fetch_add(1, Ordering::Relaxed);
-                rf_obs::live::store_write();
-            }
+            Ok(()) => Counter::StoreWrites.add(1),
             Err(e) => self.warn_io(&format!("append failed: {e}")),
         }
     }
@@ -1082,19 +889,14 @@ impl StoreTier {
     }
 }
 
-/// The durable store tier's `(hits, misses, writes)` counters, `None`
-/// when `RF_STORE` is off (or the store failed to open). Misses count
-/// lookups that fell through to a real simulation; hits count sims
-/// served from disk.
-pub fn store_counters() -> Option<(u64, u64, u64)> {
-    StoreTier::global()
-        .map(|t| {
-            (
-                t.hits.load(Ordering::Relaxed),
-                t.misses.load(Ordering::Relaxed),
-                t.writes.load(Ordering::Relaxed),
-            )
-        })
+/// The durable store tier's `(hits, misses, writes)` counters from the
+/// registry snapshot `s`, `None` when `RF_STORE` is off (or the store
+/// failed to open). Misses count lookups that fell through to a real
+/// simulation; hits count sims served from disk.
+pub fn store_counters(s: &Snapshot) -> Option<(u64, u64, u64)> {
+    StoreTier::global().map(|_| {
+        (s[Counter::StoreHits], s[Counter::StoreMisses], s[Counter::StoreWrites])
+    })
 }
 
 /// Flushes the durable store tier (fsyncs the active segment). A no-op
@@ -1301,50 +1103,18 @@ impl SimPool {
             }
         }
 
-        // Analytic-model sweep pre-filtering (`RF_PREFILTER=1`): tasks
-        // identical except for their register count whose files the
-        // model proves saturated collapse onto the smallest saturated
-        // member; the rest are pruned and substituted below. A
-        // malformed RF_PREFILTER panics here; binaries pre-validate
-        // with `validate_env` to report it cleanly instead.
-        let prefilter = prefilter_env_mode().unwrap_or_else(|e| panic!("{e}"));
-        let pruned_to_rep = prefilter_plan(&tasks, prefilter);
-        let exec_idx: Vec<usize> =
-            (0..tasks.len()).filter(|t| !pruned_to_rep.contains_key(t)).collect();
-        let exec_tasks: Vec<&RunSpec> = exec_idx.iter().map(|&t| tasks[t]).collect();
-
         // Insert into the cache in task order (not worker completion
         // order) so LRU stamps — and therefore evictions under a bounded
-        // cache — are deterministic across worker counts. Substituted
-        // results never enter the cache: they are estimates, and must
-        // not masquerade as measurements for later non-prefilter runs.
-        let mut executed = self.execute(&exec_tasks, opts);
-        executed.sort_unstable_by_key(|(e, _)| *e);
-        let mut outcomes: Vec<Option<Result<Arc<SimStats>, RunError>>> =
-            vec![None; tasks.len()];
-        for (e, outcome) in executed {
-            let t = exec_idx[e];
+        // cache — are deterministic across worker counts.
+        let mut executed = self.execute(&tasks, opts);
+        executed.sort_unstable_by_key(|(t, _)| *t);
+        for (t, outcome) in executed {
             if let Ok(stats) = &outcome {
                 cache.insert(tasks[t].clone(), Arc::clone(stats));
-                // Write-behind: only *executed* outcomes reach the
-                // durable store. Substituted (pruned) results are
-                // estimates and sit below this point, so they can
-                // never be persisted as measurements.
                 if let Some(tier) = tier {
                     tier.put(tasks[t], stats);
                 }
             }
-            outcomes[t] = Some(outcome);
-        }
-        for (&t, &rep) in &pruned_to_rep {
-            let outcome = outcomes[rep].clone().expect("representative executed");
-            PRUNED_RUNS.fetch_add(needers[t].len() as u64, Ordering::Relaxed);
-            rf_obs::live::sims_pruned(needers[t].len() as u64);
-            outcomes[t] =
-                Some(outcome.map(|stats| Arc::new(substitute_stats(&stats, tasks[t].regs))));
-        }
-        for (t, outcome) in outcomes.into_iter().enumerate() {
-            let outcome = outcome.expect("every task resolved");
             for &i in &needers[t] {
                 results[i] = Some(outcome.clone());
             }
@@ -1369,7 +1139,10 @@ impl SimPool {
             opts.deadline.map_or(0, |d| d.as_millis().min(u64::MAX as u128) as u64);
         let start = Instant::now();
         let cancel = CancelToken::new();
-        let run_one = |spec: &RunSpec| -> Result<Arc<SimStats>, RunError> {
+        // One task on worker `w`; busy time is clocked only for live
+        // telemetry.
+        let run_one = |w: usize, spec: &RunSpec| -> Result<Arc<SimStats>, RunError> {
+            let _s = rf_prof::span("pool.task");
             if cancel.is_cancelled() || opts.deadline.is_some_and(|d| start.elapsed() >= d) {
                 return Err(RunError::DeadlineExceeded {
                     benchmark: spec.benchmark.clone(),
@@ -1377,23 +1150,16 @@ impl SimPool {
                 });
             }
             let token = opts.deadline.is_some().then_some(&cancel);
-            try_simulate_cancellable(spec, token, deadline_ms).map(Arc::new)
+            let t0 = rf_obs::live::is_enabled().then(Instant::now);
+            let outcome = try_simulate_cancellable(spec, token, deadline_ms).map(Arc::new);
+            if let Some(t0) = t0 {
+                rf_obs::live::worker_task(w, t0.elapsed().as_nanos() as u64);
+            }
+            outcome
         };
         let workers = self.jobs.min(tasks.len());
         if workers <= 1 && opts.deadline.is_none() {
-            return tasks
-                .iter()
-                .enumerate()
-                .map(|(t, spec)| {
-                    let _s = rf_prof::span("pool.task");
-                    let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(spec);
-                    if let Some(t0) = t0 {
-                        rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
-                    }
-                    (t, outcome)
-                })
-                .collect();
+            return tasks.iter().enumerate().map(|(t, spec)| (t, run_one(0, spec))).collect();
         }
         let cursor = AtomicUsize::new(0);
         let mut done: Vec<(usize, Result<Arc<SimStats>, RunError>)> =
@@ -1430,13 +1196,7 @@ impl SimPool {
                 // worker's tasks and the caller's blocking join against
                 // the same wall time, double-counting coverage.
                 for (t, spec) in tasks.iter().enumerate() {
-                    let _s = rf_prof::span("pool.task");
-                    let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                    let outcome = run_one(spec);
-                    if let Some(t0) = t0 {
-                        rf_obs::live::worker_task(0, t0.elapsed().as_nanos() as u64);
-                    }
-                    done.push((t, outcome));
+                    done.push((t, run_one(0, spec)));
                 }
                 let (lock, cvar) = &parker;
                 *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
@@ -1453,16 +1213,7 @@ impl SimPool {
                         loop {
                             let t = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(spec) = tasks.get(t) else { break };
-                            let _s = rf_prof::span("pool.task");
-                            let t0 = rf_obs::live::is_enabled().then(Instant::now);
-                            let outcome = run_one(spec);
-                            if let Some(t0) = t0 {
-                                rf_obs::live::worker_task(
-                                    w,
-                                    t0.elapsed().as_nanos() as u64,
-                                );
-                            }
-                            mine.push((t, outcome));
+                            mine.push((t, run_one(w, spec)));
                         }
                         drop(worker_span);
                         // Scoped threads outlive their TLS destructors'
@@ -1521,7 +1272,6 @@ pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::Exit
          RF_JOBS        parallel simulation workers (default: all cores)\n  \
          RF_CACHE       0/off/false/no disables the shared run cache\n  \
          RF_CACHE_CAP   bound the run cache to N entries (LRU eviction)\n  \
-         RF_PREFILTER   1/on/true/yes prunes model-dominated sweep points\n  \
          RF_PROFILE     1/on/true/yes enables the rf-prof self-profiler"
     );
     let mut commits: Option<u64> = None;
@@ -1802,7 +1552,7 @@ mod tests {
 
     #[test]
     fn strict_env_parsing_rejects_malformed_values() {
-        // Env mutation is process-global, so this test owns all ten
+        // Env mutation is process-global, so this test owns all eleven
         // variables for its duration and restores them at the end; it is
         // the only test in this binary that touches them.
         let vars = [
@@ -1810,7 +1560,7 @@ mod tests {
             "RF_JOBS",
             "RF_CACHE",
             "RF_CACHE_CAP",
-            "RF_PREFILTER",
+            "RF_SANITIZE",
             "RF_STORE",
             "RF_STORE_DIR",
             "RF_TELEMETRY",
@@ -1826,8 +1576,8 @@ mod tests {
             ("RF_CACHE", "maybe", "RF_CACHE"),
             ("RF_CACHE_CAP", "-1", "RF_CACHE_CAP"),
             ("RF_CACHE_CAP", "0", "RF_CACHE_CAP=0"),
-            ("RF_PREFILTER", "fast", "RF_PREFILTER"),
-            ("RF_PREFILTER", "2", "RF_PREFILTER"),
+            ("RF_SANITIZE", "maybe", "RF_SANITIZE"),
+            ("RF_SANITIZE", "2", "RF_SANITIZE"),
             ("RF_STORE", "maybe", "RF_STORE"),
             ("RF_STORE", "2", "RF_STORE"),
             ("RF_STORE_DIR", "  ", "RF_STORE_DIR"),
@@ -1854,10 +1604,10 @@ mod tests {
             assert!(validate_env().is_ok(), "RF_CACHE={ok} should be accepted");
         }
         for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
-            std::env::set_var("RF_PREFILTER", ok);
-            assert!(validate_env().is_ok(), "RF_PREFILTER={ok} should be accepted");
+            std::env::set_var("RF_SANITIZE", ok);
+            assert!(validate_env().is_ok(), "RF_SANITIZE={ok} should be accepted");
         }
-        std::env::remove_var("RF_PREFILTER");
+        std::env::remove_var("RF_SANITIZE");
         // RF_STORE_DIR is honored (and a stray value tolerated) even
         // while the store itself stays off.
         for ok in ["0", "OFF", "false", "No", "1", "on", "TRUE", "yes"] {
@@ -1875,56 +1625,11 @@ mod tests {
         assert_eq!(store_env_mode(), Ok(None));
         std::env::remove_var("RF_CACHE");
         assert_eq!(cache_env_mode(), Ok((true, None)));
-        assert_eq!(prefilter_env_mode(), Ok(false));
         for (var, value) in vars.iter().zip(saved) {
             match value {
                 Some(v) => std::env::set_var(var, v),
                 None => std::env::remove_var(var),
             }
-        }
-    }
-
-    #[test]
-    fn prefilter_plan_prunes_only_saturated_regs_groups() {
-        // compress's ideal demand is far below 600, so 600 (smallest
-        // saturated) represents 1024 and 2048; 40 stays simulated.
-        let group: Vec<RunSpec> = [40, 2048, 600, 1024]
-            .map(|r| RunSpec::baseline("compress", 4).regs(r).commits(2_000))
-            .into();
-        let other = RunSpec::baseline("espresso", 4).commits(2_000);
-        let mut tasks: Vec<&RunSpec> = group.iter().collect();
-        tasks.push(&other);
-
-        // Disabled: no plan regardless of structure.
-        assert!(prefilter_plan(&tasks, false).is_empty());
-
-        let plan = prefilter_plan(&tasks, true);
-        // 2048 (index 1) and 1024 (index 3) collapse onto 600 (index 2).
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.get(&1), Some(&2));
-        assert_eq!(plan.get(&3), Some(&2));
-        // The ungrouped espresso spec and the unsaturated point survive.
-        assert!(!plan.contains_key(&0) && !plan.contains_key(&4));
-
-        // A width change splits the group: nothing left to prune.
-        let wide = RunSpec::baseline("compress", 8).regs(2_048).commits(2_000);
-        let split: Vec<&RunSpec> = vec![&group[0], &wide];
-        assert!(prefilter_plan(&split, true).is_empty());
-    }
-
-    #[test]
-    fn substituted_stats_pad_histograms_and_keep_counters() {
-        let rep_spec = RunSpec::baseline("compress", 4).regs(600).commits(2_000);
-        let rep = simulate(&rep_spec);
-        let sub = substitute_stats(&rep, 2_048);
-        assert_eq!(sub.commit_ipc(), rep.commit_ipc());
-        assert_eq!(sub.cycles, rep.cycles);
-        for hist in sub.live_hist.iter().chain(sub.live_hist_imprecise.iter()) {
-            assert_eq!(hist.len(), 2_049);
-        }
-        // The padding is pure zeros: bin sums are unchanged.
-        for (s, r) in sub.live_hist.iter().zip(rep.live_hist.iter()) {
-            assert_eq!(s.iter().sum::<u64>(), r.iter().sum::<u64>());
         }
     }
 

@@ -7,6 +7,7 @@
 //! binary concurrently and environment variables are process-global.
 
 use rf_experiments::runner::{simulate, RunCache, RunSpec, Scale, SimPool};
+use rf_obs::counters::{Counter, Snapshot};
 use std::sync::Arc;
 
 /// A 3-benchmark x 2-queue-size grid at the fast scale.
@@ -56,6 +57,25 @@ fn run_cache_simulates_each_point_once_across_harnesses() {
     // simulation ran once and was shared.
     assert!(Arc::ptr_eq(&first[0], &first[1]));
     assert!(Arc::ptr_eq(&first[0], &second[0]));
+}
+
+#[test]
+fn private_cache_lookups_leave_the_registry_cache_cells_unchanged() {
+    // Only the global cache counts in the registry; no test in this
+    // binary touches it, so the cells must not move while private
+    // caches hit, miss and evict.
+    let cache_cells = |s: &Snapshot| {
+        [Counter::CacheHits, Counter::CacheMisses, Counter::CacheEvictions].map(|c| s[c])
+    };
+    let before = Snapshot::take();
+    let cache = RunCache::bounded(1);
+    let pool = SimPool::new(2);
+    let a = RunSpec::baseline("compress", 4).commits(1_000);
+    let b = RunSpec::baseline("ora", 4).commits(1_000);
+    let _ = pool.run_many_cached(&[a.clone(), b, a], &cache);
+    let _ = pool.run_many_cached(&[RunSpec::baseline("ora", 4).commits(1_000)], &cache);
+    assert!(cache.hits() + cache.misses() >= 4 && cache.evictions() >= 1);
+    assert_eq!(cache_cells(&Snapshot::take()), cache_cells(&before));
 }
 
 #[test]

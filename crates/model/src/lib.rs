@@ -19,17 +19,9 @@
 //! every peak estimate is clamped into the oracle's sound
 //! `[floor, ceiling]` bracket, so the cross-validation gate of
 //! `rfstudy model --check` holds by construction.
-//!
-//! [`prefilter`] reuses the same machinery to let sweep harnesses skip
-//! register-file sizes the model proves saturated (`RF_PREFILTER=1`):
-//! once every class's ideal-schedule demand plus a wrong-path margin
-//! fits, larger register files are predicted — and observed — to change
-//! nothing.
 
 pub mod estimate;
-pub mod prefilter;
 pub mod summary;
 
 pub use estimate::{evaluate, ModelEstimate};
-pub use prefilter::{demand_profile, plan_regs_sweep, saturation_regs};
 pub use summary::{summarize, summarize_profile, WorkloadSummary};

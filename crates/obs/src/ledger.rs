@@ -38,11 +38,12 @@ use std::path::Path;
 /// `cycles_per_second` renders null instead of a misleading `0`, so
 /// trend analysis skips them rather than averaging zeros.
 ///
-/// v5 added the analytic-model block: per-harness `pruned` (sweep
-/// points the `RF_PREFILTER=1` model prefilter substituted instead of
-/// simulating) and the top-level `model_error` cross-validation
-/// telemetry (mean/worst absolute IPC error of `rf-model` against the
-/// simulator, null when the suite did not measure it).
+/// v5 added the analytic-model block: the top-level `model_error`
+/// cross-validation telemetry (mean/worst absolute IPC error of
+/// `rf-model` against the simulator, null when the suite did not
+/// measure it). It also added a per-harness `pruned` count, since
+/// dropped without a version bump: no reader used it, and it was 0 in
+/// every recorded run.
 ///
 /// v6 added the top-level `telemetry` block for `RF_TELEMETRY=1` runs:
 /// the live-sampler configuration (`interval_ms`), the number of
@@ -102,9 +103,6 @@ pub struct HarnessRecord {
     pub seconds: f64,
     /// Simulations executed (cache hits excluded).
     pub sims: u64,
-    /// Sweep points the analytic-model prefilter pruned (substituted,
-    /// not simulated; 0 unless `RF_PREFILTER=1`).
-    pub pruned: u64,
     /// Instructions committed by those simulations.
     pub committed: u64,
     /// Cycles simulated.
@@ -359,7 +357,6 @@ fn harness_value(h: &HarnessRecord) -> Value {
         ("name".to_owned(), Value::String(h.name.clone())),
         ("seconds".to_owned(), num(round6(h.seconds))),
         ("sims".to_owned(), int(h.sims)),
-        ("pruned".to_owned(), int(h.pruned)),
         ("committed".to_owned(), int(h.committed)),
         ("cycles".to_owned(), int(h.cycles)),
         ("stall_no_reg".to_owned(), int(h.stall_no_reg)),
@@ -634,7 +631,6 @@ mod tests {
                 name: "fig3".to_owned(),
                 seconds: 0.5,
                 sims: 50,
-                pruned: 4,
                 committed: 100_000,
                 cycles: 45_000,
                 stall_no_reg: 10,
@@ -695,7 +691,6 @@ mod tests {
         assert_eq!(v.get("totals").unwrap().get_f64("sims"), Some(100.0));
         let h = &v.get("harnesses").unwrap().as_array().unwrap()[0];
         assert_eq!(h.get_str("name"), Some("fig3"));
-        assert_eq!(h.get_f64("pruned"), Some(4.0));
         assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get_f64("wakeup_events"), Some(1_500.0));
         assert_eq!(h.get_f64("cycles_per_second"), Some(90_000.0));
@@ -854,7 +849,6 @@ mod tests {
         assert!(h.get("profile").is_none(), "wall-time profile is volatile");
         assert!(p.get("model_error").is_none(), "model-error block is stripped");
         assert!(p.get("telemetry").is_none(), "live-telemetry block is stripped");
-        assert_eq!(h.get_f64("pruned"), Some(4.0), "pruned counts are deterministic");
         assert_eq!(h.get_f64("cycles_skipped"), Some(30_000.0));
         assert_eq!(h.get("cache_served"), Some(&Value::Bool(false)));
     }

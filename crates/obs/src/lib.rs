@@ -38,10 +38,14 @@
 //! - [`alloc`] is an optional counting global allocator for suite
 //!   self-profiling (installed behind `rf-experiments`'s `profile-alloc`
 //!   feature).
-//! - [`live`] is the real-time layer: a lock-free counter runtime the
-//!   pool/cache/runner hooks feed, drained by a sampler thread into
-//!   `results/telemetry/live.jsonl`, an optional Prometheus `/metrics`
-//!   endpoint, and the `rfstudy top` terminal view.
+//! - [`counters`] is the suite's counter registry: one named cell per
+//!   suite-level event (simulations, committed instructions, stalls,
+//!   phase time, run-cache and store lookups), rendered by every sink
+//!   from a [`counters::Snapshot`].
+//! - [`live`] is the real-time layer: a sampler thread that renders
+//!   registry deltas into `results/telemetry/live.jsonl`, an optional
+//!   Prometheus `/metrics` endpoint, and the `rfstudy top` terminal
+//!   view.
 //!
 //! A traced run is driven through `Pipeline::with_observer` +
 //! `run_observed`; because the observer only receives copies of pipeline
@@ -50,6 +54,7 @@
 
 pub mod alloc;
 pub mod chrome;
+pub mod counters;
 pub mod fidelity;
 pub mod json;
 pub mod ledger;

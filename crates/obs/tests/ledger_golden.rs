@@ -49,7 +49,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 0,
                 cycles_skipped: 750_000,
                 wakeup_events: 31_000,
-                pruned: 6,
                 cache_served: false,
                 phase: PhaseRecord { generate: 0.002, simulate: 10.25, aggregate: 0.248 },
                 profile: Some(rf_prof::ProfileNode {
@@ -95,7 +94,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 13,
                 cycles_skipped: 0,
                 wakeup_events: 0,
-                pruned: 0,
                 cache_served: false,
                 phase: PhaseRecord { generate: 0.001, simulate: 0.6, aggregate: 0.149 },
                 profile: None,
@@ -117,7 +115,6 @@ fn full_record() -> LedgerRecord {
                 no_free_cycles: 0,
                 cycles_skipped: 0,
                 wakeup_events: 0,
-                pruned: 0,
                 cache_served: true,
                 phase: PhaseRecord { generate: 0.0, simulate: 0.0, aggregate: 0.012 },
                 profile: None,
@@ -239,7 +236,6 @@ fn golden_lines_parse_back_to_current_schema() {
                 "no_free_cycles",
                 "cycles_skipped",
                 "wakeup_events",
-                "pruned",
                 "cache_served",
                 "cycles_per_second",
                 "phase_seconds",

@@ -23,7 +23,6 @@ fn counters() -> CounterSnapshot {
         sims_completed: 409,
         sims_failed: 3,
         sims_cached: 57,
-        sims_pruned: 24,
         instructions_committed: 81_800_000,
         cycles: 33_500_000,
         cycles_skipped: 4_200_000,

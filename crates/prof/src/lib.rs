@@ -12,7 +12,8 @@
 //!
 //! Profiling is off by default and controlled by the `RF_PROFILE`
 //! environment switch (`1/on/true/yes` or `0/off/false/no`, the same
-//! spellings as `RF_CACHE`/`RF_PREFILTER`), consulted once per process.
+//! spellings as every other `RF_*` switch, see [`parse_switch`]),
+//! consulted once per process.
 //! `rfstudy profile` and the benchmarks flip it programmatically with
 //! [`set_enabled`]. When off, every span site reduces to one relaxed
 //! atomic load (coarse sites) or one thread-local read (hot sites) — a
@@ -67,31 +68,32 @@ const OFF: u8 = 1;
 const ON: u8 = 2;
 static STATE: AtomicU8 = AtomicU8::new(UNINIT);
 
-/// Parses the `RF_PROFILE` environment switch without touching process
-/// state: `Ok(false)` when unset, `Err` with a usage message on an
-/// unparsable value. The binaries call this from their environment
-/// validators so a typo fails fast with a usage error instead of a
-/// mid-run panic.
+/// Parses an on/off switch value strictly: `1/on/true/yes` is `true` and
+/// `0/off/false/no` is `false` (case-insensitive). Anything else —
+/// including the empty string and surrounding whitespace — is an error
+/// naming the variable and the value. Every `RF_*` on/off knob goes
+/// through here, so a typo is reported instead of being read as on or
+/// off.
 ///
 /// # Errors
 ///
-/// Returns a descriptive message when `RF_PROFILE` is set to anything
-/// other than `1/on/true/yes` or `0/off/false/no` (case-insensitive).
-pub fn env_mode() -> Result<bool, String> {
-    match std::env::var("RF_PROFILE") {
-        Err(_) => Ok(false),
-        Ok(v) => parse_switch(&v).ok_or_else(|| {
-            format!("invalid RF_PROFILE value {v:?}: use 1/on/true/yes or 0/off/false/no")
-        }),
+/// Returns a usage message naming `name` and `value`.
+pub fn parse_switch(name: &str, value: &str) -> Result<bool, String> {
+    match value.to_ascii_lowercase().as_str() {
+        "1" | "on" | "true" | "yes" => Ok(true),
+        "0" | "off" | "false" | "no" => Ok(false),
+        _ => Err(format!("invalid {name} value {value:?}: use 1/on/true/yes or 0/off/false/no")),
     }
 }
 
-fn parse_switch(value: &str) -> Option<bool> {
-    match value.to_ascii_lowercase().as_str() {
-        "1" | "on" | "true" | "yes" => Some(true),
-        "0" | "off" | "false" | "no" => Some(false),
-        _ => None,
-    }
+/// Reads the on/off environment switch `name` with [`parse_switch`];
+/// unset is `default`.
+///
+/// # Errors
+///
+/// Returns [`parse_switch`]'s message for a malformed value.
+pub fn env_switch(name: &str, default: bool) -> Result<bool, String> {
+    std::env::var(name).map_or(Ok(default), |v| parse_switch(name, &v))
 }
 
 /// Whether profiling is enabled. The first call reads `RF_PROFILE`;
@@ -100,7 +102,7 @@ fn parse_switch(value: &str) -> Option<bool> {
 /// # Panics
 ///
 /// Panics on an unparsable `RF_PROFILE` value (the binaries pre-validate
-/// via [`env_mode`] and exit with a usage error first).
+/// it with [`env_switch`] and exit with a usage error first).
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -111,7 +113,7 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_from_env() -> bool {
-    let on = env_mode().unwrap_or_else(|e| panic!("{e}"));
+    let on = env_switch("RF_PROFILE", false).unwrap_or_else(|e| panic!("{e}"));
     STATE.store(if on { ON } else { OFF }, Ordering::Relaxed);
     on
 }
@@ -595,17 +597,18 @@ mod tests {
     }
 
     #[test]
-    fn env_mode_accepts_the_switch_spellings() {
+    fn parse_switch_accepts_only_the_switch_spellings() {
         // Do not mutate the process environment (tests run in parallel);
         // the parser is exercised directly.
         for v in ["1", "on", "TRUE", "Yes"] {
-            assert_eq!(parse_switch(v), Some(true), "{v}");
+            assert_eq!(parse_switch("RF_X", v), Ok(true), "{v}");
         }
         for v in ["0", "off", "False", "NO"] {
-            assert_eq!(parse_switch(v), Some(false), "{v}");
+            assert_eq!(parse_switch("RF_X", v), Ok(false), "{v}");
         }
-        for v in ["", "2", "sample", " on"] {
-            assert_eq!(parse_switch(v), None, "{v:?}");
+        for v in ["", "2", "sample", " on", "maybe"] {
+            let err = parse_switch("RF_X", v).expect_err(v);
+            assert!(err.contains("RF_X") && err.contains(&format!("{v:?}")), "{err}");
         }
     }
 }

@@ -182,12 +182,15 @@ pub struct MatrixPins {
 impl MatrixPins {
     /// Expands the pins into the cross-product of configurations,
     /// validating the benchmark name and resolving the commit default
-    /// (`RF_COMMITS` environment variable, else 10000).
+    /// (`RF_COMMITS` environment variable, strictly parsed, else 10000).
     pub fn expand(&self) -> Result<Vec<rf_check::CheckParams>, String> {
-        let commits = self
-            .commits
-            .or_else(|| std::env::var("RF_COMMITS").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or(10_000);
+        let commits = match self.commits {
+            Some(commits) => commits,
+            None if std::env::var_os("RF_COMMITS").is_some() => {
+                rf_experiments::runner::Scale::try_from_env()?.commits
+            }
+            None => 10_000,
+        };
         let benches: Vec<String> = match &self.bench {
             Some(b) => {
                 rf_workload::spec92::by_name(b)
@@ -839,8 +842,8 @@ EXIT STATUS:
   1  runtime failure (simulation error, sanitizer violation, failed
      check/report gate, store verification failure, exceeded
      --deadline-secs)
-  2  usage error (unknown command or option, malformed value, a `top`
-     attach to a stream file that does not exist)
+  2  usage error (unknown command or option, malformed value or RF_*
+     knob, a `top` attach to a stream file that does not exist)
 ";
 
 #[cfg(test)]

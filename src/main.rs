@@ -44,12 +44,30 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    if let Err(e) = env_knobs(&cmd) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     match dispatch(cmd) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Strictly parses the environment knobs `cmd` reads, so a malformed
+/// value is a usage error (exit 2) rather than a silent default:
+/// `RF_SANITIZE` for `run` and `replay`, `RF_COMMITS` for the commands
+/// that expand a configuration matrix.
+fn env_knobs(cmd: &Command) -> Result<(), String> {
+    match cmd {
+        Command::Run { .. } | Command::Replay { .. } => rf_check::sanitize_mode().map(drop),
+        Command::Check { .. } | Command::Model { .. } | Command::Profile { .. } => {
+            rf_experiments::runner::Scale::try_from_env().map(drop)
+        }
+        _ => Ok(()),
     }
 }
 
@@ -706,12 +724,10 @@ fn render_top_frame(
     let rate = if window_s > 0.0 { delta_committed / window_s } else { 0.0 };
     let _ = writeln!(
         out,
-        "sims: {} done / {} failed / {} cached / {} pruned ({} started, {} in flight)   \
-         commits/s {}",
+        "sims: {} done / {} failed / {} cached ({} started, {} in flight)   commits/s {}",
         c.sims_completed,
         c.sims_failed,
         c.sims_cached,
-        c.sims_pruned,
         c.sims_started,
         c.sims_started.saturating_sub(c.sims_completed + c.sims_failed),
         human_count(rate),
@@ -1085,7 +1101,6 @@ mod top_tests {
                 sims_completed: 7,
                 sims_failed: 1,
                 sims_cached: 2,
-                sims_pruned: 3,
                 instructions_committed: committed,
                 cycles: committed / 2,
                 cycles_skipped: 0,
@@ -1120,7 +1135,7 @@ mod top_tests {
         assert!(frame.contains("1/3 harnesses   current fig4 (0.5s)"), "{frame}");
         // fig4 charged (3 - 0.5) + mystery charged 2.
         assert!(frame.contains("eta 4.5s"), "{frame}");
-        assert!(frame.contains("7 done / 1 failed / 2 cached / 3 pruned"), "{frame}");
+        assert!(frame.contains("7 done / 1 failed / 2 cached (10 started"), "{frame}");
         assert!(frame.contains("(25.0% hit rate)"), "{frame}");
         assert!(!frame.contains("FINISHED"));
 

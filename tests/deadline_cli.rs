@@ -2,7 +2,8 @@
 //! gained it alongside `rfstudy check`: `model --check` and `profile`.
 //! A generous budget changes nothing; an impossible one fails with exit
 //! code 1 and a deadline message; a malformed value is a usage error
-//! (exit code 2) before any simulation starts.
+//! (exit code 2) before any simulation starts. The same usage-error
+//! contract covers the `RF_*` knobs these subcommands read.
 
 use std::process::{Command, Output};
 
@@ -86,5 +87,38 @@ fn malformed_deadlines_are_usage_errors_before_anything_runs() {
             let stderr = String::from_utf8_lossy(&out.stderr);
             assert!(stderr.contains("--deadline-secs"), "{stderr}");
         }
+    }
+}
+
+#[test]
+fn malformed_env_knobs_are_usage_errors_and_off_means_off() {
+    let with_env = |var: &str, value: &str, args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_rfstudy"))
+            .args(args)
+            .env_remove("RF_JOBS")
+            .env_remove("RF_COMMITS")
+            .env_remove("RF_SANITIZE")
+            .env(var, value)
+            .output()
+            .expect("rfstudy runs")
+    };
+    // A malformed RF_COMMITS used to run `check` at the 10000 default.
+    let check = ["check", "--bench", "compress", "--width", "4", "--regs", "64"];
+    let out = with_env("RF_COMMITS", "20k", &check);
+    assert_eq!(out.status.code(), Some(2), "RF_COMMITS=20k must be a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("RF_COMMITS"));
+
+    // RF_SANITIZE=off used to turn the sanitizer on.
+    let run = ["run", "--bench", "compress", "--commits", "2000"];
+    for (value, sanitized) in [("off", false), ("0", false), ("1", true), ("yes", true)] {
+        let out = with_env("RF_SANITIZE", value, &run);
+        assert!(out.status.success(), "RF_SANITIZE={value} runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(stdout.contains("sanitizer: clean"), sanitized, "RF_SANITIZE={value}:\n{stdout}");
+    }
+    for args in [&run[..], &["replay", "--trace", "missing.trace"][..]] {
+        let out = with_env("RF_SANITIZE", "maybe", args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} with RF_SANITIZE=maybe");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("RF_SANITIZE"));
     }
 }

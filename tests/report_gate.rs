@@ -36,7 +36,6 @@ fn record(seq: u64, scale: f64, drift: &[(&str, f64)]) -> LedgerRecord {
         phase: PhaseRecord { generate: 0.001, simulate: seconds * 0.9, aggregate: 0.0 },
         profile: None,
         probe: None,
-        pruned: 0,
         error: None,
     };
     LedgerRecord {

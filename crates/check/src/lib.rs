@@ -41,8 +41,8 @@ pub use oracle::{analyze, ClassOracle, TraceOracle};
 pub use sanitizer::{Sanitizer, Violation, ViolationKind};
 pub use wstats::{workload_stats, WorkloadStats, DATAFLOW_WINDOWS};
 
-/// Reads the `RF_SANITIZE` switch ([`rf_prof::parse_switch`]); unset
-/// is off.
+/// Reads the `RF_SANITIZE` switch ([`rf_prof::env_switch`]); unset or
+/// empty is off.
 ///
 /// # Errors
 ///

@@ -142,53 +142,44 @@ impl LogMode {
     }
 }
 
+/// The registry cells each harness progress line reports, as `(text
+/// name, JSON name, cell)`.
+const PROGRESS_COUNTERS: [(&str, &str, Counter); 6] = [
+    ("sims", "simulations", Counter::SimsCompleted),
+    ("committed", "instructions_committed", Counter::InstructionsCommitted),
+    ("cycles", "cycles", Counter::Cycles),
+    ("stall_no_reg", "stall_no_reg", Counter::StallNoReg),
+    ("stall_dq_full", "stall_dq_full", Counter::StallDqFull),
+    ("no_free_cycles", "no_free_cycles", Counter::NoFreeCycles),
+];
+
 /// Renders one harness progress line in the chosen mode (`None` = off).
 /// `eta` is the ledger-informed estimate of remaining suite seconds
 /// (`None` when no history is available — rendered as a JSON null and
 /// omitted from the text form, never faked as zero).
 fn progress_line(mode: LogMode, done: usize, entry: &Entry, eta: Option<f64>) -> Option<String> {
-    let c = &entry.counts;
-    match mode {
-        LogMode::Off => None,
-        LogMode::Text => {
-            let mut line = format!(
-                "[rfstudy] harness={} n={done} seconds={:.3} sims={} committed={} \
-                 cycles={} stall_no_reg={} stall_dq_full={} no_free_cycles={}",
-                entry.name,
-                entry.seconds,
-                c[Counter::SimsCompleted],
-                c[Counter::InstructionsCommitted],
-                c[Counter::Cycles],
-                c[Counter::StallNoReg],
-                c[Counter::StallDqFull],
-                c[Counter::NoFreeCycles],
-            );
-            if let Some(eta) = eta {
-                let _ = write!(line, " eta_s={eta:.1}");
-            }
-            Some(line)
-        }
-        LogMode::Json => {
-            let eta = match eta {
-                Some(eta) => format!("{eta:.1}"),
-                None => "null".to_owned(),
-            };
-            Some(format!(
-                "{{\"event\":\"harness\",\"name\":\"{}\",\"n\":{done},\"seconds\":{:.3},\
-                 \"simulations\":{},\"instructions_committed\":{},\"cycles\":{},\
-                 \"stall_no_reg\":{},\"stall_dq_full\":{},\"no_free_cycles\":{},\
-                 \"eta_s\":{eta}}}",
-                entry.name,
-                entry.seconds,
-                c[Counter::SimsCompleted],
-                c[Counter::InstructionsCommitted],
-                c[Counter::Cycles],
-                c[Counter::StallNoReg],
-                c[Counter::StallDqFull],
-                c[Counter::NoFreeCycles],
-            ))
-        }
+    let (name, seconds) = (&entry.name, entry.seconds);
+    let mut line = match mode {
+        LogMode::Off => return None,
+        LogMode::Text => format!("[rfstudy] harness={name} n={done} seconds={seconds:.3}"),
+        LogMode::Json => format!(
+            "{{\"event\":\"harness\",\"name\":\"{name}\",\"n\":{done},\"seconds\":{seconds:.3}"
+        ),
+    };
+    for (text, json, counter) in PROGRESS_COUNTERS {
+        let value = entry.counts[counter];
+        let _ = match mode {
+            LogMode::Json => write!(line, ",\"{json}\":{value}"),
+            _ => write!(line, " {text}={value}"),
+        };
     }
+    let _ = match (mode, eta) {
+        (LogMode::Json, Some(eta)) => write!(line, ",\"eta_s\":{eta:.1}}}"),
+        (LogMode::Json, None) => write!(line, ",\"eta_s\":null}}"),
+        (_, Some(eta)) => write!(line, " eta_s={eta:.1}"),
+        (_, None) => Ok(()),
+    };
+    Some(line)
 }
 
 /// Aggregate result of the suite's sanitized probe runs (see
@@ -433,70 +424,36 @@ impl SuiteBench {
         );
         let _ = writeln!(out, "  \"cache_hits\": {},", now[Counter::CacheHits]);
         let _ = writeln!(out, "  \"cache_misses\": {},", now[Counter::CacheMisses]);
-        match cache.capacity() {
-            Some(cap) => {
-                let _ = writeln!(out, "  \"cache_capacity\": {cap},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"cache_capacity\": null,");
-            }
-        }
+        let capacity = or_null(cache.capacity(), |cap| cap.to_string());
+        let _ = writeln!(out, "  \"cache_capacity\": {capacity},");
         let _ = writeln!(out, "  \"cache_evictions\": {},", now[Counter::CacheEvictions]);
         let _ = writeln!(out, "  \"cache_resident_bytes\": {},", cache.resident_bytes());
-        match crate::runner::store_counters(&now) {
-            Some((hits, misses, writes)) => {
-                let _ = writeln!(
-                    out,
-                    "  \"store\": {{\"hits\": {hits}, \"misses\": {misses}, \
-                     \"writes\": {writes}}},"
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"store\": null,");
-            }
-        }
-        match self.speedup {
-            Some(s) => {
-                let _ = writeln!(out, "  \"speedup_vs_1_worker\": {s:.2},");
-            }
-            None => {
-                let _ = writeln!(out, "  \"speedup_vs_1_worker\": null,");
-            }
-        }
-        match &self.sanitizer {
-            Some(s) => {
-                let _ = writeln!(
-                    out,
-                    "  \"sanitizer\": {{\"status\": \"{}\", \"probes\": {}, \
-                     \"events\": {}, \"violations\": {}}},",
-                    s.status(),
-                    s.probes,
-                    s.events,
-                    s.violations
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  \"sanitizer\": null,");
-            }
-        }
-        match self.suite_profile() {
-            Some(p) => {
-                let _ = writeln!(out, "  \"profile\": {},", rf_obs::profile::to_value(&p));
-            }
-            None => {
-                let _ = writeln!(out, "  \"profile\": null,");
-            }
-        }
+        let store = or_null(crate::runner::store_counters(&now), |(hits, misses, writes)| {
+            format!("{{\"hits\": {hits}, \"misses\": {misses}, \"writes\": {writes}}}")
+        });
+        let _ = writeln!(out, "  \"store\": {store},");
+        let speedup = or_null(self.speedup, |s| format!("{s:.2}"));
+        let _ = writeln!(out, "  \"speedup_vs_1_worker\": {speedup},");
+        let sanitizer = or_null(self.sanitizer, |s| {
+            format!(
+                "{{\"status\": \"{}\", \"probes\": {}, \"events\": {}, \"violations\": {}}}",
+                s.status(),
+                s.probes,
+                s.events,
+                s.violations
+            )
+        });
+        let _ = writeln!(out, "  \"sanitizer\": {sanitizer},");
+        let profile = or_null(self.suite_profile(), |p| rf_obs::profile::to_value(&p).to_string());
+        let _ = writeln!(out, "  \"profile\": {profile},");
         out.push_str("  \"harnesses\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let c = &e.counts;
             // A fully cache-served harness has no throughput of its own:
             // null, not a zero that trend averaging would ingest.
-            let cps = if e.sims() == 0 {
-                "null".to_owned()
-            } else {
-                format!("{:.3}", rate(c[Counter::Cycles] as f64, e.seconds))
-            };
+            let cps = or_null((e.sims() > 0).then_some(c[Counter::Cycles]), |cycles| {
+                format!("{:.3}", rate(cycles as f64, e.seconds))
+            });
             let _ = write!(
                 out,
                 "    {{\"name\": \"{}\", \"seconds\": {:.3}, \"simulations\": {}, \
@@ -662,6 +619,11 @@ impl SuiteBench {
     }
 }
 
+/// `render(v)`, or JSON `null` for `None`.
+fn or_null<T>(v: Option<T>, render: impl FnOnce(T) -> String) -> String {
+    v.map_or_else(|| "null".to_owned(), render)
+}
+
 fn rate(amount: f64, seconds: f64) -> f64 {
     if seconds > 0.0 {
         amount / seconds
@@ -704,7 +666,8 @@ mod tests {
         assert_eq!(e.name, "tiny");
         // The registry is process-wide and other tests in this binary
         // simulate concurrently, so the harness's counts are lower
-        // bounds here; the suite binary times harnesses one at a time.
+        // bounds here; tests/counts.rs checks them exactly in a process
+        // of its own.
         assert!(e.sims() >= 1, "simulation not counted");
         assert!(e.counts[Counter::InstructionsCommitted] >= 1_000);
         assert!(e.seconds >= 0.0);
@@ -833,8 +796,18 @@ mod tests {
         assert!(text.contains("harness=fig3") && text.contains("stall_dq_full=7"), "{text}");
         assert!(!text.contains("eta_s"), "no fabricated ETA without history: {text}");
         let text = progress_line(LogMode::Text, 1, &entry, Some(12.34)).unwrap();
-        assert!(text.ends_with("eta_s=12.3"), "{text}");
+        assert_eq!(
+            text,
+            "[rfstudy] harness=fig3 n=1 seconds=1.250 sims=9 committed=90000 cycles=0 \
+             stall_no_reg=0 stall_dq_full=7 no_free_cycles=0 eta_s=12.3"
+        );
         let json = progress_line(LogMode::Json, 3, &entry, None).unwrap();
+        assert_eq!(
+            json,
+            "{\"event\":\"harness\",\"name\":\"fig3\",\"n\":3,\"seconds\":1.250,\
+             \"simulations\":9,\"instructions_committed\":90000,\"cycles\":0,\
+             \"stall_no_reg\":0,\"stall_dq_full\":7,\"no_free_cycles\":0,\"eta_s\":null}"
+        );
         rf_obs::json::validate(&json).expect("json progress line must parse");
         assert!(json.contains("\"name\":\"fig3\"") && json.contains("\"n\":3"), "{json}");
         assert!(json.contains("\"eta_s\":null"), "{json}");
@@ -896,7 +869,8 @@ mod tests {
         assert_eq!(record.harnesses.len(), 1);
         let h = &record.harnesses[0];
         assert_eq!(h.name, "tiny");
-        assert!(h.sims >= 1, "concurrent tests may add simulations");
+        // A lower bound, as above; tests/counts.rs checks it exactly.
+        assert!(h.sims >= 1, "simulation not counted");
         assert!(h.phase.simulate > 0.0, "simulate phase timed");
         assert!(h.phase.generate >= 0.0);
         let probe = h.probe.as_ref().expect("probe recorded");

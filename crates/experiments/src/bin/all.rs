@@ -84,7 +84,10 @@ environment:
   RF_TELEMETRY_INTERVAL_MS
                   sampler period in milliseconds (default 250)
   RF_METRICS_ADDR host:port for a live Prometheus /metrics endpoint
-                  (port 0 picks a free port; bound address is printed)";
+                  (port 0 picks a free port; bound address is printed)
+
+On/off knobs take 1/on/true/yes or 0/off/false/no (any case, no
+surrounding spaces); an empty value counts as unset.";
 
 /// Parsed command line: commit budget override and batch deadline.
 struct Args {
@@ -340,11 +343,7 @@ fn run_suite(scale: &Scale) -> std::io::Result<ExitCode> {
             rf_obs::live::LIVE_PATH,
             t.digest
         );
-        bench.set_telemetry(ledger::TelemetryRecord {
-            interval_ms: t.interval_ms,
-            snapshots: t.snapshots,
-            digest: t.digest,
-        });
+        bench.set_telemetry(t);
     }
     // A one-worker pool has nothing to compare against itself: the
     // report's speedup stays null instead of a noise reading.

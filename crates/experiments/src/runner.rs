@@ -587,8 +587,6 @@ pub struct RunCache {
     cap: Option<usize>,
 }
 
-
-
 impl RunCache {
     /// Creates an empty, enabled, unbounded cache.
     pub fn new() -> Self {
@@ -646,7 +644,8 @@ impl RunCache {
         let i = match event {
             Counter::CacheHits => 0,
             Counter::CacheMisses => 1,
-            _ => 2,
+            Counter::CacheEvictions => 2,
+            other => unreachable!("{other:?} is not a run-cache counter"),
         };
         (!self.global).then(|| &self.own[i])
     }

@@ -10,6 +10,7 @@
 //! The stream's counters and `BENCH_suite.json`'s totals render the same
 //! counter registry, so there is no second count to reconcile.
 
+use rf_obs::counters::Counter;
 use rf_obs::ledger;
 use rf_obs::live;
 use std::path::{Path, PathBuf};
@@ -91,7 +92,7 @@ fn telemetry_is_neutral_monotone_and_tied_to_the_ledger() {
         assert!(pair[1].elapsed_s >= pair[0].elapsed_s, "time must advance");
         assert!(pair[1].suite.done >= pair[0].suite.done, "done must grow");
         for ((name, a), (_, b)) in
-            pair[0].counters.as_pairs().iter().zip(pair[1].counters.as_pairs())
+            live::stream_pairs(&pair[0].counters).iter().zip(live::stream_pairs(&pair[1].counters))
         {
             assert!(b >= *a, "counter {name} decreased: {a} -> {b}");
         }
@@ -101,14 +102,14 @@ fn telemetry_is_neutral_monotone_and_tied_to_the_ledger() {
     assert!(snaps.iter().rev().skip(1).all(|s| !s.is_final), "exactly one final snapshot");
     let c = &last.counters;
     assert_eq!(
-        c.sims_started,
-        c.sims_completed + c.sims_failed,
+        c[Counter::SimsStarted],
+        c[Counter::SimsCompleted] + c[Counter::SimsFailed],
         "every started simulation resolves before finalize"
     );
-    assert_eq!(c.sims_failed, 0, "a clean suite fails nothing");
+    assert_eq!(c[Counter::SimsFailed], 0, "a clean suite fails nothing");
     assert_eq!(last.suite.done, last.suite.total, "all harnesses finished");
     let worker_sims: u64 = last.workers.iter().map(|w| w.sims).sum();
-    assert_eq!(worker_sims, c.sims_completed, "worker cells cover every executed sim");
+    assert_eq!(worker_sims, c[Counter::SimsCompleted], "worker cells cover every executed sim");
 
     // --- The ledger's telemetry block ties back to the stream. ---
     let records = ledger::read_ledger(&on_dir.join(ledger::LEDGER_PATH)).unwrap();

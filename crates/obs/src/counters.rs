@@ -141,6 +141,17 @@ impl Snapshot {
     }
 }
 
+/// A snapshot holding `values` and zero in every other cell.
+impl<const N: usize> From<[(Counter, u64); N]> for Snapshot {
+    fn from(values: [(Counter, u64); N]) -> Snapshot {
+        let mut s = Snapshot::default();
+        for (c, v) in values {
+            s[c] = v;
+        }
+        s
+    }
+}
+
 impl Index<Counter> for Snapshot {
     type Output = u64;
 

@@ -23,7 +23,8 @@
 //! touched — `results/*.txt` are byte-identical either way. When on,
 //! counters are monotone for the lifetime of the run, and the final
 //! snapshot is written by [`finalize`] *before* any post-suite probes
-//! run; `crates/experiments/tests/telemetry.rs` asserts both properties
+//! run (the endpoint serves that snapshot's counters from then on);
+//! `crates/experiments/tests/telemetry.rs` asserts both properties
 //! against the real suite binary.
 //!
 //! Knobs (strict-parsed by [`env_config`], like every other `RF_*`
@@ -178,85 +179,38 @@ pub fn harness_finished() {
 // Snapshots
 // ---------------------------------------------------------------------
 
-/// The live stream's counter set: registry deltas since [`start`], under
-/// the schema-1 record names.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CounterSnapshot {
-    /// Simulations that entered `try_simulate`.
-    pub sims_started: u64,
-    /// Simulations that finished successfully.
-    pub sims_completed: u64,
-    /// Simulations that panicked, were cancelled, or rejected a spec.
-    pub sims_failed: u64,
-    /// Simulations served by the global run cache (its hits).
-    pub sims_cached: u64,
-    /// Instructions committed across completed simulations.
-    pub instructions_committed: u64,
-    /// Cycles stepped across completed simulations.
-    pub cycles: u64,
-    /// Idle cycles skipped by the event-driven kernel.
-    pub cycles_skipped: u64,
-    /// Idle-skip wake-up jumps (same provenance as `cycles_skipped`).
-    pub wakeup_events: u64,
-    /// Global run-cache hits.
-    pub cache_hits: u64,
-    /// Global run-cache misses.
-    pub cache_misses: u64,
-    /// Global run-cache LRU evictions.
-    pub cache_evictions: u64,
-    /// Durable run-store hits (sims served from disk; 0 with `RF_STORE`
-    /// off).
-    pub store_hits: u64,
-    /// Durable run-store misses (lookups that fell through to a real
-    /// simulation).
-    pub store_misses: u64,
-    /// Executed results persisted to the durable run store.
-    pub store_writes: u64,
+/// The registry cells the live stream reports, in record order, under
+/// their schema-1 names: each cell's registry name, plus `sims_cached`,
+/// the stream's second name for the global run cache's hits. The JSONL
+/// records, the Prometheus rendering and the final-snapshot digest all
+/// follow this order.
+const STREAM: [(&str, Counter); 14] = [
+    ("sims_started", Counter::SimsStarted),
+    ("sims_completed", Counter::SimsCompleted),
+    ("sims_failed", Counter::SimsFailed),
+    ("sims_cached", Counter::CacheHits),
+    ("instructions_committed", Counter::InstructionsCommitted),
+    ("cycles", Counter::Cycles),
+    ("cycles_skipped", Counter::CyclesSkipped),
+    ("wakeup_events", Counter::WakeupEvents),
+    ("cache_hits", Counter::CacheHits),
+    ("cache_misses", Counter::CacheMisses),
+    ("cache_evictions", Counter::CacheEvictions),
+    ("store_hits", Counter::StoreHits),
+    ("store_misses", Counter::StoreMisses),
+    ("store_writes", Counter::StoreWrites),
+];
+
+/// `(name, value)` for every counter the stream reports, in record
+/// order.
+pub fn stream_pairs(c: &Snapshot) -> [(&'static str, u64); 14] {
+    STREAM.map(|(name, counter)| (name, c[counter]))
 }
 
-impl CounterSnapshot {
-    /// Canonical (name, value) order used by the JSONL records, the
-    /// Prometheus rendering, and the final-snapshot digest.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 14] {
-        [
-            ("sims_started", self.sims_started),
-            ("sims_completed", self.sims_completed),
-            ("sims_failed", self.sims_failed),
-            ("sims_cached", self.sims_cached),
-            ("instructions_committed", self.instructions_committed),
-            ("cycles", self.cycles),
-            ("cycles_skipped", self.cycles_skipped),
-            ("wakeup_events", self.wakeup_events),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
-            ("store_hits", self.store_hits),
-            ("store_misses", self.store_misses),
-            ("store_writes", self.store_writes),
-        ]
-    }
-
-    /// Reads a `"counters"` object back into a snapshot (absent keys
-    /// read as 0 so old readers tolerate newer records).
-    pub fn from_value(v: &Value) -> CounterSnapshot {
-        let g = |k: &str| v.get_f64(k).unwrap_or(0.0) as u64;
-        CounterSnapshot {
-            sims_started: g("sims_started"),
-            sims_completed: g("sims_completed"),
-            sims_failed: g("sims_failed"),
-            sims_cached: g("sims_cached"),
-            instructions_committed: g("instructions_committed"),
-            cycles: g("cycles"),
-            cycles_skipped: g("cycles_skipped"),
-            wakeup_events: g("wakeup_events"),
-            cache_hits: g("cache_hits"),
-            cache_misses: g("cache_misses"),
-            cache_evictions: g("cache_evictions"),
-            store_hits: g("store_hits"),
-            store_misses: g("store_misses"),
-            store_writes: g("store_writes"),
-        }
-    }
+/// Reads a `"counters"` object back into a snapshot (absent keys read
+/// as 0 so old readers tolerate newer records).
+fn counters_from_value(v: &Value) -> Snapshot {
+    Snapshot::from(STREAM.map(|(name, c)| (c, v.get_f64(name).unwrap_or(0.0) as u64)))
 }
 
 /// One worker's cumulative cell values.
@@ -283,25 +237,9 @@ pub struct SuiteView {
     pub current_elapsed_s: f64,
 }
 
-/// The registry's counts since `base`, under the stream's names.
-fn counters_since(base: &Snapshot) -> CounterSnapshot {
-    let d = Snapshot::take().since(base);
-    CounterSnapshot {
-        sims_started: d[Counter::SimsStarted],
-        sims_completed: d[Counter::SimsCompleted],
-        sims_failed: d[Counter::SimsFailed],
-        sims_cached: d[Counter::CacheHits],
-        instructions_committed: d[Counter::InstructionsCommitted],
-        cycles: d[Counter::Cycles],
-        cycles_skipped: d[Counter::CyclesSkipped],
-        wakeup_events: d[Counter::WakeupEvents],
-        cache_hits: d[Counter::CacheHits],
-        cache_misses: d[Counter::CacheMisses],
-        cache_evictions: d[Counter::CacheEvictions],
-        store_hits: d[Counter::StoreHits],
-        store_misses: d[Counter::StoreMisses],
-        store_writes: d[Counter::StoreWrites],
-    }
+/// The registry's counts since `base`.
+fn counters_since(base: &Snapshot) -> Snapshot {
+    Snapshot::take().since(base)
 }
 
 /// Reads the current per-worker cells (workers observed so far).
@@ -366,12 +304,12 @@ pub fn snapshot_value(
     seq: u64,
     elapsed_s: f64,
     is_final: bool,
-    c: &CounterSnapshot,
+    c: &Snapshot,
     workers: &[WorkerSample],
     suite: &SuiteView,
 ) -> Value {
     let counters =
-        Value::Object(c.as_pairs().iter().map(|(k, v)| ((*k).into(), num(*v))).collect());
+        Value::Object(stream_pairs(c).iter().map(|(k, v)| ((*k).into(), num(*v))).collect());
     let workers = Value::Array(
         workers
             .iter()
@@ -412,9 +350,9 @@ pub fn snapshot_value(
 /// FNV-1a digest of the canonical counter tuple, hex-encoded. Stable
 /// across platforms; used to tie the ledger's telemetry block to the
 /// final `live.jsonl` snapshot.
-pub fn digest_counters(c: &CounterSnapshot) -> String {
+pub fn digest_counters(c: &Snapshot) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for (_, v) in c.as_pairs() {
+    for (_, v) in stream_pairs(c) {
         for b in v.to_le_bytes() {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -428,14 +366,14 @@ pub fn digest_counters(c: &CounterSnapshot) -> String {
 /// an `rf_live_` prefix so scrapes of a live run and of the ledger
 /// never collide.
 pub fn render_prometheus(
-    c: &CounterSnapshot,
+    c: &Snapshot,
     workers: &[WorkerSample],
     suite: &SuiteView,
     elapsed_s: f64,
 ) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    for (name, value) in c.as_pairs() {
+    for (name, value) in stream_pairs(c) {
         let _ = writeln!(out, "# HELP rf_live_{name} Live suite counter.");
         let _ = writeln!(out, "# TYPE rf_live_{name} counter");
         let _ = writeln!(out, "rf_live_{name} {value}");
@@ -468,6 +406,12 @@ pub fn render_prometheus(
 // Runtime: sampler thread, JSONL sink, HTTP endpoint
 // ---------------------------------------------------------------------
 
+/// The counters and suite progress [`finalize`] froze, once it has run.
+/// The endpoint serves these instead of live reads from then on, so a
+/// scrape after the suite sees the harness totals and nothing that the
+/// post-suite probes add to the registry.
+type Frozen = Arc<Mutex<Option<(Snapshot, SuiteView)>>>;
+
 struct Runtime {
     interval_ms: u64,
     started: Instant,
@@ -475,24 +419,15 @@ struct Runtime {
     base: Snapshot,
     path: PathBuf,
     seq: Arc<AtomicU64>,
+    frozen: Frozen,
     stop: Arc<(Mutex<bool>, Condvar)>,
     sampler: thread::JoinHandle<()>,
 }
 
 static RUNTIME: Mutex<Option<Runtime>> = Mutex::new(None);
 
-/// What [`finalize`] hands back for the ledger's telemetry block.
-#[derive(Debug, Clone)]
-pub struct FinalTelemetry {
-    /// Configured sampler period.
-    pub interval_ms: u64,
-    /// Snapshot records written (including the final one).
-    pub snapshots: u64,
-    /// [`digest_counters`] of the final counter set.
-    pub digest: String,
-    /// The final counter values themselves.
-    pub counters: CounterSnapshot,
-}
+/// What [`finalize`] hands back: the ledger record's telemetry block.
+pub type FinalTelemetry = ledger::TelemetryRecord;
 
 /// Starts the live runtime: takes the registry baseline, clears the
 /// worker cells, writes the stream header, spawns the sampler (and, if
@@ -518,6 +453,7 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
     let base = Snapshot::take();
     let started = Instant::now();
     let seq = Arc::new(AtomicU64::new(0));
+    let frozen = Frozen::default();
     let bound = match cfg.metrics_addr {
         None => None,
         Some(addr) => {
@@ -525,10 +461,10 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
             let local = listener.local_addr()?;
             // Parseable by scripts: CI greps this line for the port.
             eprintln!("[rf-live] metrics_addr={local}");
-            let seq = Arc::clone(&seq);
+            let (seq, frozen) = (Arc::clone(&seq), Arc::clone(&frozen));
             thread::Builder::new()
                 .name("rf-live-http".into())
-                .spawn(move || serve_endpoint(&listener, started, &base, &seq))?;
+                .spawn(move || serve_endpoint(&listener, started, &base, &seq, &frozen))?;
             Some(local.to_string())
         }
     };
@@ -577,16 +513,18 @@ pub fn start(cfg: &LiveConfig, commits: u64, jobs: u64, harnesses_total: u64) ->
         base,
         path,
         seq,
+        frozen,
         stop,
         sampler,
     });
     Ok(())
 }
 
-/// Stops the sampler, writes the final snapshot (with digest), and
-/// returns the summary for the ledger. `None` if the runtime was never
-/// started. Call this *before* any post-suite probe work, so the final
-/// counters cover the harnesses and nothing else.
+/// Stops the sampler, writes the final snapshot (with digest), freezes
+/// what the endpoint serves at that snapshot, and returns the summary
+/// for the ledger. `None` if the runtime was never started. Call this
+/// *before* any post-suite probe work, so the final counters cover the
+/// harnesses and nothing else.
 pub fn finalize() -> Option<FinalTelemetry> {
     let rt = RUNTIME.lock().unwrap_or_else(PoisonError::into_inner).take()?;
     {
@@ -597,6 +535,7 @@ pub fn finalize() -> Option<FinalTelemetry> {
     let _ = rt.sampler.join();
     ENABLED.store(false, Ordering::Relaxed);
     let counters = counters_since(&rt.base);
+    let suite = suite_now();
     let seq = rt.seq.fetch_add(1, Ordering::Relaxed) + 1;
     let snap = snapshot_value(
         seq,
@@ -604,24 +543,31 @@ pub fn finalize() -> Option<FinalTelemetry> {
         true,
         &counters,
         &workers_now(),
-        &suite_now(),
+        &suite,
     );
     let _ = ledger::append_line(&rt.path, &snap.to_string());
+    *rt.frozen.lock().unwrap_or_else(PoisonError::into_inner) = Some((counters, suite));
     *suite_lock() = None;
     Some(FinalTelemetry {
         interval_ms: rt.interval_ms,
         snapshots: seq,
         digest: digest_counters(&counters),
-        counters,
     })
 }
 
 /// Single-threaded accept loop: requests are served one at a time from
-/// registry reads, so the endpoint itself never blocks producers.
-fn serve_endpoint(listener: &TcpListener, started: Instant, base: &Snapshot, seq: &AtomicU64) {
+/// registry reads (or the [`Frozen`] final values), so the endpoint
+/// itself never blocks producers.
+fn serve_endpoint(
+    listener: &TcpListener,
+    started: Instant,
+    base: &Snapshot,
+    seq: &AtomicU64,
+    frozen: &Mutex<Option<(Snapshot, SuiteView)>>,
+) {
     for conn in listener.incoming() {
         let Ok(mut stream) = conn else { continue };
-        let _ = handle_request(&mut stream, started, base, seq);
+        let _ = handle_request(&mut stream, started, base, seq, frozen);
     }
 }
 
@@ -630,6 +576,7 @@ fn handle_request(
     started: Instant,
     base: &Snapshot,
     seq: &AtomicU64,
+    frozen: &Mutex<Option<(Snapshot, SuiteView)>>,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     let mut req = Vec::new();
@@ -644,11 +591,16 @@ fn handle_request(
     let head = String::from_utf8_lossy(&req);
     let path = head.split_whitespace().nth(1).unwrap_or("/");
     let elapsed = started.elapsed().as_secs_f64();
+    let (counters, suite) = frozen
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clone()
+        .unwrap_or_else(|| (counters_since(base), suite_now()));
     let (status, ctype, body) = match path {
         "/metrics" | "/" => (
             "200 OK",
             "text/plain; version=0.0.4",
-            render_prometheus(&counters_since(base), &workers_now(), &suite_now(), elapsed),
+            render_prometheus(&counters, &workers_now(), &suite, elapsed),
         ),
         "/snapshot.json" => (
             "200 OK",
@@ -659,9 +611,9 @@ fn handle_request(
                     seq.load(Ordering::Relaxed),
                     elapsed,
                     false,
-                    &counters_since(base),
+                    &counters,
                     &workers_now(),
-                    &suite_now(),
+                    &suite,
                 )
             ),
         ),
@@ -701,8 +653,8 @@ pub struct Snap {
     pub elapsed_s: f64,
     /// Whether this is the closing snapshot.
     pub is_final: bool,
-    /// Counter values at snapshot time.
-    pub counters: CounterSnapshot,
+    /// Counter values at snapshot time (the cells the stream reports).
+    pub counters: Snapshot,
     /// Per-worker cells at snapshot time.
     pub workers: Vec<WorkerSample>,
     /// Suite progress at snapshot time.
@@ -723,9 +675,7 @@ fn snap_from_value(v: &Value) -> Result<Snap, String> {
         seq: v.get_f64("seq").ok_or("snapshot missing seq")? as u64,
         elapsed_s: v.get_f64("elapsed_s").unwrap_or(0.0),
         is_final: v.get("final").and_then(Value::as_bool).unwrap_or(false),
-        counters: CounterSnapshot::from_value(
-            v.get("counters").ok_or("snapshot missing counters")?,
-        ),
+        counters: counters_from_value(v.get("counters").ok_or("snapshot missing counters")?),
         workers: v
             .get("workers")
             .and_then(Value::as_array)
@@ -814,7 +764,7 @@ mod torn_tests {
 
     #[test]
     fn parse_stream_skips_a_torn_final_line() {
-        let c = CounterSnapshot::default();
+        let c = Snapshot::default();
         let s = SuiteView::default();
         let whole = format!(
             "{}\n{}\n",
@@ -841,22 +791,29 @@ mod torn_tests {
 mod tests {
     use super::*;
 
-    fn sample_counters() -> CounterSnapshot {
-        CounterSnapshot {
-            sims_started: 40,
-            sims_completed: 38,
-            sims_failed: 2,
-            sims_cached: 13,
-            instructions_committed: 7_600_000,
-            cycles: 3_000_000,
-            cycles_skipped: 400_000,
-            wakeup_events: 9_000,
-            cache_hits: 13,
-            cache_misses: 41,
-            cache_evictions: 3,
-            store_hits: 9,
-            store_misses: 32,
-            store_writes: 30,
+    fn sample_counters() -> Snapshot {
+        Snapshot::from([
+            (Counter::SimsStarted, 40),
+            (Counter::SimsCompleted, 38),
+            (Counter::SimsFailed, 2),
+            (Counter::InstructionsCommitted, 7_600_000),
+            (Counter::Cycles, 3_000_000),
+            (Counter::CyclesSkipped, 400_000),
+            (Counter::WakeupEvents, 9_000),
+            (Counter::CacheHits, 13),
+            (Counter::CacheMisses, 41),
+            (Counter::CacheEvictions, 3),
+            (Counter::StoreHits, 9),
+            (Counter::StoreMisses, 32),
+            (Counter::StoreWrites, 30),
+        ])
+    }
+
+    #[test]
+    fn stream_names_are_registry_names() {
+        for (name, counter) in STREAM {
+            let alias = (name, counter) == ("sims_cached", Counter::CacheHits);
+            assert!(alias || name == counter.name(), "{name} renders {counter:?}");
         }
     }
 
@@ -913,9 +870,10 @@ mod tests {
     #[test]
     fn digest_is_stable_and_value_sensitive() {
         let c = sample_counters();
-        assert_eq!(digest_counters(&c), digest_counters(&c.clone()));
-        let mut d = c.clone();
-        d.cycles += 1;
+        let same = c;
+        assert_eq!(digest_counters(&c), digest_counters(&same));
+        let mut d = c;
+        d[Counter::Cycles] += 1;
         assert_ne!(digest_counters(&c), digest_counters(&d));
         assert_eq!(digest_counters(&c).len(), 16);
     }
@@ -926,7 +884,7 @@ mod tests {
         let workers = vec![WorkerSample { id: 0, busy_ns: 5, sims: 1 }];
         let suite = SuiteView { total: 12, done: 4, current: None, current_elapsed_s: 0.0 };
         let out = render_prometheus(&c, &workers, &suite, 3.5);
-        for (name, value) in c.as_pairs() {
+        for (name, value) in stream_pairs(&c) {
             assert!(
                 out.contains(&format!("rf_live_{name} {value}")),
                 "missing {name}:\n{out}"
@@ -946,11 +904,20 @@ mod tests {
         Counter::InstructionsCommitted.add(10);
         Counter::CacheHits.add(3);
         let c = counters_since(&base);
-        // Other tests in this process may count too: at least ours.
-        assert!(c.sims_started >= 2 && c.sims_completed >= 1);
-        assert!(c.instructions_committed >= 10);
-        assert_eq!(c.sims_cached, c.cache_hits, "one cell, two stream names");
-        assert!(c.cache_hits >= 3);
+        // No other test in this crate counts in the registry, so the
+        // deltas are exactly ours (the kernel's two cells move with any
+        // simulation in the process, so they are not compared).
+        let want = Snapshot::from([
+            (Counter::SimsStarted, 2),
+            (Counter::SimsCompleted, 1),
+            (Counter::InstructionsCommitted, 10),
+            (Counter::CacheHits, 3),
+            (Counter::CyclesSkipped, c[Counter::CyclesSkipped]),
+            (Counter::WakeupEvents, c[Counter::WakeupEvents]),
+        ]);
+        assert_eq!(c, want);
+        let pairs = stream_pairs(&c);
+        assert_eq!((pairs[3], pairs[8]), (("sims_cached", 3), ("cache_hits", 3)));
     }
 
     #[test]
@@ -1018,9 +985,12 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let started = Instant::now();
         let seq = Arc::new(AtomicU64::new(4));
+        let frozen = Frozen::default();
         {
-            let seq = Arc::clone(&seq);
-            thread::spawn(move || serve_endpoint(&listener, started, &Snapshot::take(), &seq));
+            let (seq, frozen) = (Arc::clone(&seq), Arc::clone(&frozen));
+            thread::spawn(move || {
+                serve_endpoint(&listener, started, &Snapshot::take(), &seq, &frozen);
+            });
         }
 
         let fetch = |path: &str| {
@@ -1044,5 +1014,18 @@ mod tests {
 
         let missing = fetch("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+
+        // Once finalize has frozen the final values, both routes serve
+        // them instead of live registry reads.
+        let done = SuiteView { total: 12, done: 12, ..SuiteView::default() };
+        *frozen.lock().unwrap() = Some((sample_counters(), done));
+        let metrics = fetch("/metrics");
+        assert!(metrics.contains("rf_live_sims_started 40"), "{metrics}");
+        assert!(metrics.contains("rf_live_suite_harnesses_done 12"), "{metrics}");
+        let snap = fetch("/snapshot.json");
+        let body = snap.split("\r\n\r\n").nth(1).unwrap();
+        let v = crate::json::parse(body.trim()).expect("snapshot body is JSON");
+        let counters = counters_from_value(v.get("counters").expect("counters"));
+        assert_eq!(counters, sample_counters());
     }
 }

@@ -86,14 +86,18 @@ pub fn parse_switch(name: &str, value: &str) -> Result<bool, String> {
     }
 }
 
-/// Reads the on/off environment switch `name` with [`parse_switch`];
-/// unset is `default`.
+/// Reads the on/off environment switch `name` with [`parse_switch`].
+/// Unset or empty (`RF_SANITIZE= cmd`, the shell idiom for clearing a
+/// variable) is `default`.
 ///
 /// # Errors
 ///
 /// Returns [`parse_switch`]'s message for a malformed value.
 pub fn env_switch(name: &str, default: bool) -> Result<bool, String> {
-    std::env::var(name).map_or(Ok(default), |v| parse_switch(name, &v))
+    match std::env::var(name) {
+        Ok(v) if !v.is_empty() => parse_switch(name, &v),
+        _ => Ok(default),
+    }
 }
 
 /// Whether profiling is enabled. The first call reads `RF_PROFILE`;

@@ -679,6 +679,7 @@ fn render_top_frame(
     plan: &[String],
     medians: &[(String, f64)],
 ) -> String {
+    use rf_obs::counters::Counter;
     use std::fmt::Write;
     let mut out = String::new();
     let _ = writeln!(out, "rfstudy top — {file}");
@@ -713,34 +714,35 @@ fn render_top_frame(
         s.total,
     );
     let c = &last.counters;
+    let committed = c[Counter::InstructionsCommitted];
     let prev = (snaps.len() >= 2).then(|| &snaps[snaps.len() - 2]);
     let (delta_committed, window_s) = match prev {
         Some(p) => (
-            c.instructions_committed.saturating_sub(p.counters.instructions_committed) as f64,
+            committed.saturating_sub(p.counters[Counter::InstructionsCommitted]) as f64,
             last.elapsed_s - p.elapsed_s,
         ),
-        None => (c.instructions_committed as f64, last.elapsed_s),
+        None => (committed as f64, last.elapsed_s),
     };
     let rate = if window_s > 0.0 { delta_committed / window_s } else { 0.0 };
     let _ = writeln!(
         out,
         "sims: {} done / {} failed / {} cached ({} started, {} in flight)   commits/s {}",
-        c.sims_completed,
-        c.sims_failed,
-        c.sims_cached,
-        c.sims_started,
-        c.sims_started.saturating_sub(c.sims_completed + c.sims_failed),
+        c[Counter::SimsCompleted],
+        c[Counter::SimsFailed],
+        c[Counter::CacheHits],
+        c[Counter::SimsStarted],
+        c[Counter::SimsStarted]
+            .saturating_sub(c[Counter::SimsCompleted] + c[Counter::SimsFailed]),
         human_count(rate),
     );
-    let lookups = c.cache_hits + c.cache_misses;
-    let hit_pct = if lookups > 0 { 100.0 * c.cache_hits as f64 / lookups as f64 } else { 0.0 };
+    let (hits, misses) = (c[Counter::CacheHits], c[Counter::CacheMisses]);
+    let lookups = hits + misses;
+    let hit_pct = if lookups > 0 { 100.0 * hits as f64 / lookups as f64 } else { 0.0 };
     let _ = writeln!(
         out,
-        "cache: {} hits / {} misses ({hit_pct:.1}% hit rate)   evictions {}   committed {}",
-        c.cache_hits,
-        c.cache_misses,
-        c.cache_evictions,
-        human_count(c.instructions_committed as f64),
+        "cache: {hits} hits / {misses} misses ({hit_pct:.1}% hit rate)   evictions {}   committed {}",
+        c[Counter::CacheEvictions],
+        human_count(committed as f64),
     );
     if !last.workers.is_empty() {
         let _ = writeln!(out, "workers:");
@@ -1048,7 +1050,8 @@ fn print_stats(name: &str, stats: &SimStats) {
 #[cfg(test)]
 mod top_tests {
     use super::*;
-    use rf_obs::live::{CounterSnapshot, Snap, SuiteView, WorkerSample};
+    use rf_obs::counters::{Counter, Snapshot};
+    use rf_obs::live::{Snap, SuiteView, WorkerSample};
 
     fn plan() -> Vec<String> {
         vec!["fig3".into(), "fig4".into(), "mystery".into()]
@@ -1092,26 +1095,21 @@ mod top_tests {
     }
 
     fn snap(seq: u64, elapsed_s: f64, committed: u64, busy_ns: u64, is_final: bool) -> Snap {
+        let counters = Snapshot::from([
+            (Counter::SimsStarted, 10),
+            (Counter::SimsCompleted, 7),
+            (Counter::SimsFailed, 1),
+            (Counter::InstructionsCommitted, committed),
+            (Counter::Cycles, committed / 2),
+            (Counter::CacheHits, 2),
+            (Counter::CacheMisses, 6),
+            (Counter::CacheEvictions, 1),
+        ]);
         Snap {
             seq,
             elapsed_s,
             is_final,
-            counters: CounterSnapshot {
-                sims_started: 10,
-                sims_completed: 7,
-                sims_failed: 1,
-                sims_cached: 2,
-                instructions_committed: committed,
-                cycles: committed / 2,
-                cycles_skipped: 0,
-                wakeup_events: 0,
-                cache_hits: 2,
-                cache_misses: 6,
-                cache_evictions: 1,
-                store_hits: 0,
-                store_misses: 0,
-                store_writes: 0,
-            },
+            counters,
             workers: vec![WorkerSample { id: 0, busy_ns, sims: 7 }],
             suite: suite(1, Some("fig4"), 0.5),
             digest: is_final.then(|| "feedbeef".to_owned()),

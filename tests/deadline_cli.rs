@@ -110,11 +110,18 @@ fn malformed_env_knobs_are_usage_errors_and_off_means_off() {
 
     // RF_SANITIZE=off used to turn the sanitizer on.
     let run = ["run", "--bench", "compress", "--commits", "2000"];
-    for (value, sanitized) in [("off", false), ("0", false), ("1", true), ("yes", true)] {
+    // An empty value is unset, as it was before the strict parser.
+    for (value, sanitized) in
+        [("off", false), ("0", false), ("", false), ("1", true), ("yes", true)]
+    {
         let out = with_env("RF_SANITIZE", value, &run);
         assert!(out.status.success(), "RF_SANITIZE={value} runs");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(stdout.contains("sanitizer: clean"), sanitized, "RF_SANITIZE={value}:\n{stdout}");
+        assert_eq!(
+            stdout.contains("sanitizer: clean"),
+            sanitized,
+            "RF_SANITIZE={value}:\n{stdout}"
+        );
     }
     for args in [&run[..], &["replay", "--trace", "missing.trace"][..]] {
         let out = with_env("RF_SANITIZE", "maybe", args);

@@ -9,7 +9,8 @@
 //! and renders everything as the `BENCH_suite.json` report.
 //!
 //! Setting `RF_LOG=text` or `RF_LOG=json` makes each timed harness emit a
-//! structured progress line on stderr as it finishes.
+//! structured progress line on stderr as it finishes; any other non-empty
+//! value is an error.
 
 use crate::runner::{RunCache, RunSpec, SimPool};
 use rf_core::{NullObserver, Observer as _, Pipeline, StallCause};
@@ -126,18 +127,20 @@ impl ProbeSummary {
 
 /// Where harness progress lines go, selected by `RF_LOG`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LogMode {
+pub(crate) enum LogMode {
     Off,
     Text,
     Json,
 }
 
 impl LogMode {
-    fn from_env() -> Self {
+    /// Reads `RF_LOG` strictly: `text` or `json`; unset or empty is off.
+    pub(crate) fn try_from_env() -> Result<Self, String> {
         match std::env::var("RF_LOG").as_deref() {
-            Ok("json") => LogMode::Json,
-            Ok("text") => LogMode::Text,
-            _ => LogMode::Off,
+            Err(_) | Ok("") => Ok(LogMode::Off),
+            Ok("text") => Ok(LogMode::Text),
+            Ok("json") => Ok(LogMode::Json),
+            Ok(other) => Err(format!("RF_LOG={other:?} is not text or json")),
         }
     }
 }
@@ -229,6 +232,11 @@ pub struct SuiteBench {
 impl SuiteBench {
     /// Starts timing a suite run at `commits` committed instructions per
     /// simulation.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `RF_LOG` is malformed; binaries should pre-validate
+    /// with [`crate::runner::validate_env`].
     pub fn start(commits: u64) -> Self {
         Self {
             commits,
@@ -240,7 +248,7 @@ impl SuiteBench {
             telemetry: None,
             plan: Vec::new(),
             medians: Vec::new(),
-            log: LogMode::from_env(),
+            log: LogMode::try_from_env().unwrap_or_else(|e| panic!("{e}")),
         }
     }
 

@@ -11,16 +11,17 @@
 //! # Arguments (strict)
 //!
 //! ```text
-//! all [COMMITS] [--deadline-secs N] [--cache-cap N] [--help]
+//! all [COMMITS] [--deadline-secs S] [--cache-cap N] [--help]
 //! ```
 //!
 //! `COMMITS` is the per-simulation commit budget (default: `RF_COMMITS`
-//! or 200000). `--deadline-secs N` bounds every simulation batch to `N`
+//! or 200000). `--deadline-secs S` bounds every simulation batch to `S`
 //! wall seconds (cooperative cancellation; overrunning specs fail, the
 //! suite keeps going). `--cache-cap N` bounds the shared run cache to
-//! `N` entries (LRU eviction). A malformed argument or environment
-//! variable exits 2 with a message — it no longer silently launches a
-//! full-scale run — and `--help` prints usage instead of simulating.
+//! `N` entries (LRU eviction). The arguments go through the shared
+//! [`rf_experiments::args`] table: an unknown, duplicate or malformed
+//! argument or environment variable exits 2 with a message, and `--help`
+//! prints usage instead of simulating.
 //!
 //! # Fault tolerance
 //!
@@ -38,6 +39,7 @@
 //! record. With the `fault-probe` feature, RF_FAULT=<harness> injects a
 //! panicking simulation into that harness (the CI smoke path).
 
+use rf_experiments::args::{self, Cmd, Matches, Opt};
 use rf_experiments::bench::{SanitizerStatus, SuiteBench};
 use rf_experiments::runner::{self, Scale};
 use rf_obs::fidelity;
@@ -52,19 +54,24 @@ use std::time::Duration;
 /// percentiles annotate the harness in `BENCH_suite.json`).
 const PROBE_COMMITS: u64 = 5_000;
 
-const USAGE: &str = "usage: all [COMMITS] [--deadline-secs N] [--cache-cap N] [--help]
+static DEADLINE: Opt<Duration> = Opt::new(
+    "--deadline-secs",
+    "S",
+    "wall-clock budget per simulation batch; overrunning specs fail \
+     with a deadline error, the suite goes on",
+    args::seconds,
+);
 
-Runs every table/figure harness, writes reports under results/, appends
+/// Entry bound of the shared run cache; sets `RF_CACHE_CAP`.
+static CACHE_CAP: Opt<u64> =
+    Opt::new("--cache-cap", "N", "bound the shared run cache to N entries (LRU)", args::positive);
+
+static ALL: Cmd<'static> = Cmd {
+    name: "all",
+    about: "Runs every table/figure harness, writes reports under results/, appends
 one record to the run-history ledger results/history/suite.jsonl
 (authoritative; mirrored to BENCH_history.jsonl), and exits nonzero if
 any harness failed.
-
-arguments:
-  COMMITS             committed instructions per simulation
-                      (default: RF_COMMITS or 200000)
-  --deadline-secs N   wall-clock budget per simulation batch; overrunning
-                      specs fail with a deadline error, the suite goes on
-  --cache-cap N       bound the shared run cache to N entries (LRU)
 
 environment:
   RF_COMMITS      default commit budget
@@ -87,68 +94,10 @@ environment:
                   (port 0 picks a free port; bound address is printed)
 
 On/off knobs take 1/on/true/yes or 0/off/false/no (any case, no
-surrounding spaces); an empty value counts as unset.";
-
-/// Parsed command line: commit budget override and batch deadline.
-struct Args {
-    commits: Option<u64>,
-    deadline_secs: Option<f64>,
-}
-
-/// Parses the strict argument contract. `Ok(None)` means `--help` was
-/// printed; `Err` carries the usage-error message (exit 2).
-fn parse_args() -> Result<Option<Args>, String> {
-    let mut commits = None;
-    let mut deadline_secs = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Ok(None);
-            }
-            "--deadline-secs" => {
-                let raw = args
-                    .next()
-                    .ok_or_else(|| "--deadline-secs needs a value".to_owned())?;
-                let secs: f64 = raw
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| {
-                        format!("--deadline-secs {raw:?} is not a positive number of seconds")
-                    })?;
-                deadline_secs = Some(secs);
-            }
-            "--cache-cap" => {
-                let raw =
-                    args.next().ok_or_else(|| "--cache-cap needs a value".to_owned())?;
-                let cap: u64 = raw
-                    .parse()
-                    .ok()
-                    .filter(|c: &u64| *c > 0)
-                    .ok_or_else(|| format!("--cache-cap {raw:?} is not a positive integer"))?;
-                // The cache reads RF_CACHE_CAP once on first use; set it
-                // now, before any simulation touches the global cache
-                // (startup is single-threaded).
-                std::env::set_var("RF_CACHE_CAP", cap.to_string());
-            }
-            _ if arg.starts_with('-') => {
-                return Err(format!("unknown option {arg:?}"));
-            }
-            _ => {
-                if commits.is_some() {
-                    return Err(format!("unexpected argument {arg:?}"));
-                }
-                let budget: u64 = arg.parse().map_err(|_| {
-                    format!("commit budget {arg:?} is not a non-negative integer")
-                })?;
-                commits = Some(budget);
-            }
-        }
-    }
-    Ok(Some(Args { commits, deadline_secs }))
-}
+surrounding spaces); an empty value counts as unset.",
+    args: &[&runner::COMMITS.info, &DEADLINE.info, &CACHE_CAP.info],
+    groups: &[],
+};
 
 /// The harness name RF_FAULT injects a panicking simulation into
 /// (`fault-probe` builds only; elsewhere the variable is ignored).
@@ -235,22 +184,22 @@ fn run_fault_probe(_commits: u64) -> String {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(message) => {
-            eprintln!("all: {message}\n{USAGE}");
-            return ExitCode::from(2);
-        }
+    let read = |m: &Matches| Ok((m.get(&runner::COMMITS)?, m.get(&DEADLINE)?, m.get(&CACHE_CAP)?));
+    let (commits, deadline, cache_cap) = match args::process_args(&ALL, read) {
+        Ok(values) => values,
+        Err(code) => return code,
     };
+    // The cache reads RF_CACHE_CAP once on first use; set it now, before
+    // any simulation touches the global cache (startup is single-threaded).
+    if let Some(cap) = cache_cap {
+        std::env::set_var("RF_CACHE_CAP", cap.to_string());
+    }
     if let Err(message) = runner::validate_env() {
         eprintln!("all: {message}");
         return ExitCode::from(2);
     }
-    if let Some(secs) = args.deadline_secs {
-        runner::set_default_deadline(Some(Duration::from_secs_f64(secs)));
-    }
-    let scale = args.commits.map_or_else(Scale::from_env, |commits| Scale { commits });
+    runner::set_default_deadline(deadline);
+    let scale = commits.map_or_else(Scale::from_env, |commits| Scale { commits });
     match run_suite(&scale) {
         Ok(code) => code,
         Err(e) => {

@@ -27,6 +27,7 @@
 //! [`rf_obs::counters`] registry and nowhere else; the suite's reports
 //! render snapshots of it.
 
+use crate::args::{Cmd, Opt};
 use rf_bpred::PredictorKind;
 use rf_core::{
     CancelToken, ExceptionModel, MachineConfig, Pipeline, SchedPolicy, SimStats,
@@ -69,7 +70,7 @@ fn env_u64(name: &str) -> Result<Option<u64>, String> {
 
 /// Validates every runner environment variable (`RF_COMMITS`, `RF_JOBS`,
 /// `RF_CACHE`, `RF_CACHE_CAP`, `RF_STORE`, `RF_STORE_DIR`,
-/// `RF_SANITIZE`, `RF_PROFILE`, `RF_TELEMETRY`,
+/// `RF_SANITIZE`, `RF_PROFILE`, `RF_LOG`, `RF_TELEMETRY`,
 /// `RF_TELEMETRY_INTERVAL_MS`, `RF_METRICS_ADDR`)
 /// without acting on any of them, so a binary can fail fast with one
 /// clear message before doing work.
@@ -84,6 +85,7 @@ pub fn validate_env() -> Result<(), String> {
     store_env_mode()?;
     rf_check::sanitize_mode()?;
     rf_prof::env_switch("RF_PROFILE", false)?;
+    crate::bench::LogMode::try_from_env()?;
     rf_obs::live::env_config()?;
     Ok(())
 }
@@ -1245,14 +1247,22 @@ impl Default for SimPool {
     }
 }
 
+/// The optional commit-budget positional of `all` and every harness
+/// binary.
+pub static COMMITS: Opt<u64> = Opt::new(
+    "COMMITS",
+    "COMMITS",
+    "committed instructions per simulation (default: RF_COMMITS or 200000)",
+    crate::args::uint,
+);
+
 /// Standard entry point for the figure/table harness binaries: strict
 /// argument and environment handling wrapped around a report-producing
 /// function.
 ///
 /// The contract every harness binary shares:
 ///
-/// - `--help`/`-h` prints usage and exits 0 (it used to launch a full
-///   200k-commit run);
+/// - `--help`/`-h` prints usage and exits 0 without simulating;
 /// - an optional first argument sets the commit budget; a malformed
 ///   argument or extra arguments exit 2 with a clear message instead of
 ///   silently running the default budget;
@@ -1260,12 +1270,8 @@ impl Default for SimPool {
 ///   simulation starts;
 /// - a panic escaping the harness is caught and reported, exiting 1.
 pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::ExitCode {
-    let usage = format!(
-        "usage: {name} [COMMITS]\n\n\
-         Regenerates the {name} report on stdout.\n\n\
-         arguments:\n  \
-         COMMITS        committed instructions per simulation\n                 \
-         (default: RF_COMMITS or 200000)\n\n\
+    let about = format!(
+        "Regenerates the {name} report on stdout.\n\n\
          environment:\n  \
          RF_COMMITS     default commit budget\n  \
          RF_JOBS        parallel simulation workers (default: all cores)\n  \
@@ -1273,24 +1279,11 @@ pub fn harness_main(name: &str, run: fn(&Scale) -> String) -> std::process::Exit
          RF_CACHE_CAP   bound the run cache to N entries (LRU eviction)\n  \
          RF_PROFILE     1/on/true/yes enables the rf-prof self-profiler"
     );
-    let mut commits: Option<u64> = None;
-    for arg in std::env::args().skip(1) {
-        if arg == "--help" || arg == "-h" {
-            println!("{usage}");
-            return std::process::ExitCode::SUCCESS;
-        }
-        if commits.is_some() {
-            eprintln!("{name}: unexpected argument {arg:?}\n{usage}");
-            return std::process::ExitCode::from(2);
-        }
-        match arg.parse::<u64>() {
-            Ok(n) => commits = Some(n),
-            Err(_) => {
-                eprintln!("{name}: commit budget {arg:?} is not a non-negative integer\n{usage}");
-                return std::process::ExitCode::from(2);
-            }
-        }
-    }
+    let cmd = Cmd { name, about: &about, args: &[&COMMITS.info], groups: &[] };
+    let commits = match crate::args::process_args(&cmd, |m| m.get(&COMMITS)) {
+        Ok(commits) => commits,
+        Err(code) => return code,
+    };
     if let Err(e) = validate_env() {
         eprintln!("{name}: {e}");
         return std::process::ExitCode::from(2);
@@ -1565,10 +1558,11 @@ mod tests {
             "RF_TELEMETRY",
             "RF_TELEMETRY_INTERVAL_MS",
             "RF_METRICS_ADDR",
+            "RF_LOG",
         ];
         let saved: Vec<Option<String>> =
             vars.iter().map(|v| std::env::var(v).ok()).collect();
-        let cases: [(&str, &str, &str); 16] = [
+        let cases: [(&str, &str, &str); 17] = [
             ("RF_COMMITS", "200k", "RF_COMMITS"),
             ("RF_JOBS", "abc", "RF_JOBS"),
             ("RF_JOBS", "0", "RF_JOBS=0"),
@@ -1585,6 +1579,7 @@ mod tests {
             ("RF_TELEMETRY_INTERVAL_MS", "0", "RF_TELEMETRY_INTERVAL_MS value '0'"),
             ("RF_METRICS_ADDR", "localhost", "RF_METRICS_ADDR"),
             ("RF_METRICS_ADDR", "9090", "RF_METRICS_ADDR"),
+            ("RF_LOG", "jsn", "RF_LOG"),
         ];
         for (var, value, needle) in cases {
             for v in vars {

@@ -30,6 +30,16 @@ pub enum FidelityMode {
     Off,
 }
 
+impl std::fmt::Display for FidelityMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FidelityMode::Gate => "gate",
+            FidelityMode::Warn => "warn",
+            FidelityMode::Off => "off",
+        })
+    }
+}
+
 /// Tunables for [`analyze`].
 #[derive(Debug, Clone)]
 pub struct Options {

@@ -1,13 +1,22 @@
 //! Argument parsing for the `rfstudy` command-line simulator.
 //!
-//! Hand-rolled (no dependency) subcommand parser. See `main.rs` for the
-//! command implementations and `rfstudy help` for usage.
+//! Each subcommand declares its arguments once, as an option table for
+//! the shared strict parser in [`rf_experiments::args`]; `rfstudy help`
+//! and `rfstudy CMD --help` are rendered from the same tables. See
+//! `main.rs` for the command implementations.
 
 use rf_bpred::PredictorKind;
 use rf_core::{ExceptionModel, MachineConfig, SchedPolicy};
+use rf_experiments::args::{
+    self, bench, number, positive, regs, seconds, text, uint, Choice, Cmd, Group, Matches, Opt,
+};
 use rf_mem::CacheOrg;
+use rf_obs::trend::FidelityMode;
+use rf_workload::BenchmarkProfile;
+use std::fmt::{self, Write as _};
+use std::time::Duration;
 
-/// Machine options shared by `run` and `replay`.
+/// Machine options shared by `run`, `trace` and `replay`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineOpts {
     /// Issue width.
@@ -28,22 +37,6 @@ pub struct MachineOpts {
     pub predictor: PredictorKind,
     /// Simulation seed.
     pub seed: u64,
-}
-
-impl Default for MachineOpts {
-    fn default() -> Self {
-        Self {
-            width: 4,
-            dq: None,
-            regs: 2048,
-            exceptions: ExceptionModel::Precise,
-            cache: CacheOrg::LockupFree,
-            sched: SchedPolicy::OldestFirst,
-            split_queues: false,
-            predictor: PredictorKind::Combining,
-            seed: 1,
-        }
-    }
 }
 
 impl MachineOpts {
@@ -75,20 +68,6 @@ pub enum TraceFormat {
     Summary,
 }
 
-impl TraceFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "chrome" => Ok(TraceFormat::Chrome),
-            "text" => Ok(TraceFormat::Text),
-            "summary" => Ok(TraceFormat::Summary),
-            other => Err(format!(
-                "unknown trace format {other:?} (expected chrome, text, or summary)"
-            )),
-        }
-    }
-}
-
 /// Output format of the `report` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReportFormat {
@@ -96,19 +75,6 @@ pub enum ReportFormat {
     Text,
     /// Markdown (the CI artifact format).
     Markdown,
-}
-
-impl ReportFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "text" => Ok(ReportFormat::Text),
-            "markdown" => Ok(ReportFormat::Markdown),
-            other => Err(format!(
-                "unknown report format {other:?} (expected text or markdown)"
-            )),
-        }
-    }
 }
 
 /// Output format of the `profile` subcommand.
@@ -122,20 +88,6 @@ pub enum ProfileFormat {
     Text,
 }
 
-impl ProfileFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "flame" => Ok(ProfileFormat::Flame),
-            "json" => Ok(ProfileFormat::Json),
-            "text" => Ok(ProfileFormat::Text),
-            other => Err(format!(
-                "unknown profile format {other:?} (expected flame, json, or text)"
-            )),
-        }
-    }
-}
-
 /// Output format of the `model` subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelFormat {
@@ -145,16 +97,49 @@ pub enum ModelFormat {
     Json,
 }
 
-impl ModelFormat {
-    /// Parses a `--format` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "text" => Ok(ModelFormat::Text),
-            "json" => Ok(ModelFormat::Json),
-            other => Err(format!("unknown model format {other:?} (expected text or json)")),
-        }
-    }
+/// Maintenance action of the `store` subcommand.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreAction {
+    /// Print snapshot statistics (records, segments, schema mix).
+    Stats,
+    /// Re-read and checksum-verify every live record; exit nonzero on
+    /// corruption.
+    Verify,
+    /// Rewrite the store down to its latest record per digest.
+    Compact,
+    /// Compact and additionally drop records written under a stale
+    /// key-schema version.
+    Gc,
 }
+
+/// Spells each variant of a local enum once: its `Display` impl and
+/// its [`Choice`] impl come from the same list.
+macro_rules! spelled {
+    ($ty:ident, $what:literal, $($variant:ident = $spelling:literal),+) => {
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str(match self { $($ty::$variant => $spelling),+ })
+            }
+        }
+        impl Choice for $ty {
+            const WHAT: &'static str = $what;
+            const ALL: &'static [Self] = &[$($ty::$variant),+];
+        }
+    };
+}
+
+spelled!(TraceFormat, "trace format", Chrome = "chrome", Text = "text", Summary = "summary");
+spelled!(ReportFormat, "report format", Text = "text", Markdown = "markdown");
+spelled!(ProfileFormat, "profile format", Flame = "flame", Json = "json", Text = "text");
+spelled!(ModelFormat, "model format", Text = "text", Json = "json");
+spelled!(
+    StoreAction,
+    "store action",
+    Stats = "stats",
+    Verify = "verify",
+    Compact = "compact",
+    Gc = "gc"
+);
 
 /// The check-style configuration matrix pinning shared by `check`,
 /// `profile`, and `model`: without options the full default matrix
@@ -164,7 +149,7 @@ impl ModelFormat {
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixPins {
     /// Restrict to one benchmark (`None` = all nine).
-    pub bench: Option<String>,
+    pub bench: Option<BenchmarkProfile>,
     /// Restrict to one issue width (`None` = 4 and 8).
     pub width: Option<usize>,
     /// Restrict to one exception model (`None` = precise and
@@ -181,8 +166,8 @@ pub struct MatrixPins {
 
 impl MatrixPins {
     /// Expands the pins into the cross-product of configurations,
-    /// validating the benchmark name and resolving the commit default
-    /// (`RF_COMMITS` environment variable, strictly parsed, else 10000).
+    /// resolving the commit default (`RF_COMMITS` environment variable,
+    /// strictly parsed, else 10000).
     pub fn expand(&self) -> Result<Vec<rf_check::CheckParams>, String> {
         let commits = match self.commits {
             Some(commits) => commits,
@@ -192,11 +177,7 @@ impl MatrixPins {
             None => 10_000,
         };
         let benches: Vec<String> = match &self.bench {
-            Some(b) => {
-                rf_workload::spec92::by_name(b)
-                    .ok_or_else(|| format!("unknown benchmark {b:?}"))?;
-                vec![b.clone()]
-            }
+            Some(profile) => vec![profile.name.clone()],
             None => rf_workload::spec92::all().into_iter().map(|p| p.name).collect(),
         };
         let widths = self.width.map_or_else(|| vec![4, 8], |w| vec![w]);
@@ -226,36 +207,6 @@ impl MatrixPins {
     }
 }
 
-/// Maintenance action of the `store` subcommand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreAction {
-    /// Print snapshot statistics (records, segments, schema mix).
-    Stats,
-    /// Re-read and checksum-verify every live record; exit nonzero on
-    /// corruption.
-    Verify,
-    /// Rewrite the store down to its latest record per digest.
-    Compact,
-    /// Compact and additionally drop records written under a stale
-    /// key-schema version.
-    Gc,
-}
-
-impl StoreAction {
-    /// Parses the positional ACTION argument.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "stats" => Ok(StoreAction::Stats),
-            "verify" => Ok(StoreAction::Verify),
-            "compact" => Ok(StoreAction::Compact),
-            "gc" => Ok(StoreAction::Gc),
-            other => Err(format!(
-                "unknown store action {other:?} (expected stats, verify, compact, or gc)"
-            )),
-        }
-    }
-}
-
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -264,8 +215,8 @@ pub enum Command {
     /// Simulate a benchmark with the pipeline observer attached and
     /// export the recorded trace.
     Trace {
-        /// Benchmark name.
-        bench: String,
+        /// Benchmark.
+        bench: BenchmarkProfile,
         /// Commit budget.
         commits: u64,
         /// Export format.
@@ -279,21 +230,20 @@ pub enum Command {
     },
     /// Simulate a benchmark.
     Run {
-        /// Benchmark name.
-        bench: String,
+        /// Benchmark.
+        bench: BenchmarkProfile,
         /// Commit budget.
         commits: u64,
-        /// Wall-clock budget in seconds (`None` = unbounded). An
-        /// overrunning simulation is cancelled cooperatively and the
-        /// process exits 1.
-        deadline_secs: Option<f64>,
+        /// Wall-clock budget (`None` = unbounded). An overrunning
+        /// simulation is cancelled cooperatively and the process exits 1.
+        deadline_secs: Option<Duration>,
         /// Machine options.
         machine: MachineOpts,
     },
     /// Record a trace file.
     Record {
-        /// Benchmark name.
-        bench: String,
+        /// Benchmark.
+        bench: BenchmarkProfile,
         /// Output path.
         out: String,
         /// Instructions to record.
@@ -315,10 +265,10 @@ pub enum Command {
     Check {
         /// Configuration matrix pinning.
         pins: MatrixPins,
-        /// Wall-clock budget in seconds for the whole matrix (`None` =
-        /// unbounded); an overrunning run is cancelled cooperatively
-        /// and the process exits 1.
-        deadline_secs: Option<f64>,
+        /// Wall-clock budget for the whole matrix (`None` = unbounded);
+        /// an overrunning run is cancelled cooperatively and the process
+        /// exits 1.
+        deadline_secs: Option<Duration>,
     },
     /// Evaluate the static analytic model over the configuration
     /// matrix, or cross-validate it against the simulator (`--check`).
@@ -331,16 +281,16 @@ pub enum Command {
         /// Output format (estimates only; `--check` always renders
         /// check-style text).
         format: ModelFormat,
-        /// Wall-clock budget in seconds for the `--check` simulation
-        /// batch (`None` = unbounded); overrunning configurations fail
-        /// and the process exits 1. Ignored without `--check` (the
-        /// model alone takes microseconds).
-        deadline_secs: Option<f64>,
+        /// Wall-clock budget for the `--check` simulation batch (`None`
+        /// = unbounded); overrunning configurations fail and the process
+        /// exits 1. Ignored without `--check` (the model alone takes
+        /// microseconds).
+        deadline_secs: Option<Duration>,
     },
     /// Dataflow ILP-limit analysis.
     Dataflow {
-        /// Benchmark name.
-        bench: String,
+        /// Benchmark.
+        bench: BenchmarkProfile,
         /// Optional sliding window.
         window: Option<usize>,
         /// Instructions to analyse.
@@ -369,9 +319,9 @@ pub enum Command {
         /// Fidelity band multiplier (widen for smoke scales).
         band_scale: f64,
         /// Fidelity gating mode.
-        fidelity: rf_obs::trend::FidelityMode,
+        fidelity: FidelityMode,
         /// Profile-drift handling mode.
-        profile_drift: rf_obs::trend::FidelityMode,
+        profile_drift: FidelityMode,
     },
     /// Run an instrumented batch with the rf-prof self-profiler forced
     /// on and render where the wall time went.
@@ -384,10 +334,10 @@ pub enum Command {
         top: usize,
         /// Output path (`None` = stdout).
         out: Option<String>,
-        /// Wall-clock budget in seconds for the instrumented batch
-        /// (`None` = unbounded); an overrunning run is cancelled
-        /// cooperatively and the process exits 1.
-        deadline_secs: Option<f64>,
+        /// Wall-clock budget for the instrumented batch (`None` =
+        /// unbounded); an overrunning run is cancelled cooperatively and
+        /// the process exits 1.
+        deadline_secs: Option<Duration>,
     },
     /// Attach to a running (or finished) telemetry stream and render a
     /// live terminal view of the suite.
@@ -427,428 +377,429 @@ pub enum Command {
     },
     /// Print usage.
     Help,
+    /// Print one subcommand's usage (`rfstudy CMD --help`).
+    Usage(String),
 }
 
-fn parse_machine(opt: &str, value: Option<&str>, m: &mut MachineOpts) -> Result<bool, String> {
-    fn need<'a>(opt: &str, v: Option<&'a str>) -> Result<&'a str, String> {
-        v.ok_or_else(|| format!("{opt} requires a value"))
-    }
-    match opt {
-        "--width" => m.width = parse_num(opt, need(opt, value)?)?,
-        "--dq" => m.dq = Some(parse_num(opt, need(opt, value)?)?),
-        "--regs" => m.regs = parse_num(opt, need(opt, value)?)?,
-        "--seed" => m.seed = parse_num(opt, need(opt, value)?)?,
-        "--exceptions" => {
-            m.exceptions = match need(opt, value)? {
-                "precise" => ExceptionModel::Precise,
-                "imprecise" => ExceptionModel::Imprecise,
-                "alpha-hybrid" => ExceptionModel::AlphaHybrid,
-                other => return Err(format!("unknown exception model {other:?}")),
-            }
-        }
-        "--cache" => {
-            m.cache = match need(opt, value)? {
-                "perfect" => CacheOrg::Perfect,
-                "lockup" => CacheOrg::Lockup,
-                "lockup-free" => CacheOrg::LockupFree,
-                other => return Err(format!("unknown cache organisation {other:?}")),
-            }
-        }
-        "--sched" => {
-            m.sched = match need(opt, value)? {
-                "oldest-first" => SchedPolicy::OldestFirst,
-                "youngest-first" => SchedPolicy::YoungestFirst,
-                other => return Err(format!("unknown scheduler policy {other:?}")),
-            }
-        }
-        "--predictor" => {
-            m.predictor = match need(opt, value)? {
-                "bimodal" => PredictorKind::Bimodal,
-                "gshare" => PredictorKind::Gshare,
-                "combining" => PredictorKind::Combining,
-                other => return Err(format!("unknown predictor {other:?}")),
-            }
-        }
-        "--split-queues" => {
-            m.split_queues = true;
-            return Ok(false); // flag: consumed no value
-        }
-        _ => return Err(format!("unknown option {opt:?}")),
-    }
-    Ok(true)
-}
+static WIDTH: Opt<usize> = Opt::new("--width", "N", "issue width", positive).default("4");
+static DQ: Opt<usize> =
+    Opt::new("--dq", "N", "dispatch-queue entries (default 8 x width)", positive);
+static REGS: Opt<usize> =
+    Opt::new("--regs", "N", "physical registers per class", regs).default("2048");
+static EXCEPTIONS: Opt<ExceptionModel> =
+    Opt::choice("--exceptions", "exception model").default("precise");
+static CACHE: Opt<CacheOrg> = Opt::choice("--cache", "cache organisation").default("lockup-free");
+static SCHED: Opt<SchedPolicy> = Opt::choice("--sched", "scheduler policy").default("oldest-first");
+static PREDICTOR: Opt<PredictorKind> =
+    Opt::choice("--predictor", "branch predictor").default("combining");
+static SPLIT_QUEUES: Opt<bool> =
+    Opt::flag("--split-queues", "split the dispatch queue (extension)");
+static SEED: Opt<u64> = Opt::new("--seed", "N", "workload / simulation seed", uint).default("1");
+static MACHINE: Group = Group {
+    title: "machine options",
+    args: &[
+        &WIDTH.info,
+        &DQ.info,
+        &REGS.info,
+        &EXCEPTIONS.info,
+        &CACHE.info,
+        &SCHED.info,
+        &PREDICTOR.info,
+        &SPLIT_QUEUES.info,
+        &SEED.info,
+    ],
+};
 
-fn parse_num<T: std::str::FromStr>(opt: &str, v: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("invalid value {v:?} for {opt}"))
-}
+static BENCH_PIN: Opt<BenchmarkProfile> =
+    Opt::new("--bench", "NAME", "one benchmark (default all nine)", bench);
+static WIDTH_PIN: Opt<usize> =
+    Opt::new("--width", "N", "one issue width (default 4 and 8)", positive);
+static EXCEPTIONS_PIN: Opt<ExceptionModel> =
+    Opt::choice("--exceptions", "one exception model (default precise and imprecise)");
+static REGS_PIN: Opt<usize> =
+    Opt::new("--regs", "N", "one register-file size (default 2048 and 64)", regs);
+static COMMITS_PIN: Opt<u64> =
+    Opt::new("--commits", "N", "commits per configuration (default RF_COMMITS or 10000)", uint);
+static SEED_PIN: Opt<u64> = Opt::new("--seed", "N", "workload seed", uint).default("12");
+static MATRIX: Group = Group {
+    title: "matrix options",
+    args: &[
+        &BENCH_PIN.info,
+        &WIDTH_PIN.info,
+        &EXCEPTIONS_PIN.info,
+        &REGS_PIN.info,
+        &COMMITS_PIN.info,
+        &SEED_PIN.info,
+    ],
+};
 
-/// Parses the pinnable matrix dimensions of `check` / `profile` /
-/// `model` out of the collected option pairs.
-fn parse_pins(opts: &[(String, Option<String>)]) -> Result<MatrixPins, String> {
-    let take = |name: &str| -> Option<String> {
-        opts.iter().find(|(o, _)| o == name).and_then(|(_, v)| v.clone())
-    };
-    Ok(MatrixPins {
-        bench: take("--bench"),
-        width: take("--width").map(|v| parse_num("--width", &v)).transpose()?,
-        exceptions: take("--exceptions")
-            .map(|v| match v.as_str() {
-                "precise" => Ok(ExceptionModel::Precise),
-                "imprecise" => Ok(ExceptionModel::Imprecise),
-                "alpha-hybrid" => Ok(ExceptionModel::AlphaHybrid),
-                other => Err(format!("unknown exception model {other:?}")),
-            })
-            .transpose()?,
-        regs: take("--regs").map(|v| parse_num("--regs", &v)).transpose()?,
-        commits: take("--commits").map(|v| parse_num("--commits", &v)).transpose()?,
-        seed: take("--seed").map_or(Ok(12), |v| parse_num("--seed", &v))?,
+static BENCH: Opt<BenchmarkProfile> =
+    Opt::new("--bench", "NAME", "benchmark (see `rfstudy list`)", bench).required();
+static DEADLINE: Opt<Duration> = Opt::new(
+    "--deadline-secs",
+    "S",
+    "wall-clock budget in seconds; an overrunning simulation is cancelled \
+     cooperatively, its partial statistics are discarded, and rfstudy exits 1",
+    seconds,
+);
+static OUT: Opt<String> = Opt::new("--out", "FILE", "write to FILE instead of stdout", text);
+static LEDGER: Opt<String> =
+    Opt::new("--ledger", "FILE", "run-history ledger", text).default(rf_obs::ledger::LEDGER_PATH);
+static TRACE_FILE: Opt<String> = Opt::new("--trace", "FILE", "trace file", text).required();
+static RUN_COMMITS: Opt<u64> = Opt::new("--commits", "N", "commit budget", uint).default("200000");
+static TRACE_COMMITS: Opt<u64> = Opt::new("--commits", "N", "commit budget", uint).default("10000");
+static TRACE_FORMAT: Opt<TraceFormat> = Opt::choice("--format", "export format").default("summary");
+static TRACE_WINDOW: Opt<u64> =
+    Opt::new("--window", "CYCLES", "keep only the last CYCLES cycles of detail", uint);
+static RECORD_OUT: Opt<String> = Opt::new("--out", "FILE", "trace file to write", text).required();
+static RECORD_COUNT: Opt<u64> =
+    Opt::new("--count", "N", "instructions to record", uint).default("1000000");
+static REPLAY_COMMITS: Opt<u64> =
+    Opt::new("--commits", "N", "commit budget; 0 drains the whole trace", uint).default("0");
+static MODEL_CHECK: Opt<bool> = Opt::flag("--check", "also simulate and gate the model error");
+static MODEL_FORMAT: Opt<ModelFormat> = Opt::choice("--format", "estimate format").default("text");
+static DATAFLOW_WINDOW: Opt<usize> =
+    Opt::new("--window", "N", "sliding instruction window (default unbounded)", positive);
+static DATAFLOW_COUNT: Opt<u64> =
+    Opt::new("--count", "N", "instructions to analyse", uint).default("200000");
+static BASELINE: Opt<String> =
+    Opt::new("--baseline", "REV", "baseline git-revision prefix (default rolling median)", text);
+static REPORT_WINDOW: Opt<usize> =
+    Opt::new("--window", "N", "comparable runs in the rolling median", uint).default("5");
+static REPORT_FORMAT: Opt<ReportFormat> = Opt::choice("--format", "report format").default("text");
+static PROM: Opt<String> = Opt::new("--prom", "FILE", "also write a Prometheus exposition", text);
+static REPORT_CHECK: Opt<bool> = Opt::flag("--check", "exit 1 on a regression or fidelity drift");
+static MAX_REGRESS: Opt<f64> =
+    Opt::new("--max-regress-pct", "P", "perf-regression noise floor", number).default("10");
+static BAND_SCALE: Opt<f64> =
+    Opt::new("--band-scale", "S", "fidelity band multiplier", number).default("1");
+static FIDELITY: Opt<FidelityMode> = Opt::choice("--fidelity", "fidelity drift").default("gate");
+static PROFILE_DRIFT: Opt<FidelityMode> =
+    Opt::choice("--profile-drift", "profile drift").default("warn");
+static PROFILE_FORMAT: Opt<ProfileFormat> = Opt::choice("--format", "rendering").default("text");
+static TOP_ROWS: Opt<usize> = Opt::new("--top", "N", "rows in the text table", uint).default("20");
+static LIVE_FILE: Opt<String> =
+    Opt::new("--file", "FILE", "telemetry stream", text).default(rf_obs::live::LIVE_PATH);
+static INTERVAL_MS: Opt<u64> =
+    Opt::new("--interval-ms", "N", "refresh period in milliseconds", positive).default("500");
+static ONCE: Opt<bool> = Opt::flag("--once", "render a single frame and exit");
+static SPAWN: Opt<bool> = Opt::flag("--spawn", "launch the suite with RF_TELEMETRY=1 and attach");
+static STORE_ACTION: Opt<StoreAction> = Opt::choice("ACTION", "what to do").required();
+static STORE_DIR: Opt<String> =
+    Opt::new("--dir", "DIR", "store directory (default RF_STORE_DIR or results/store)", text);
+static DUMP_COUNT: Opt<u64> =
+    Opt::new("--count", "N", "instructions to print; 0 prints all", uint).default("0");
+
+static LIST: Cmd<'static> = Cmd { name: "rfstudy list", about: "", args: &[], groups: &[] };
+static RUN: Cmd<'static> = Cmd {
+    name: "rfstudy run",
+    about: "",
+    args: &[&BENCH.info, &RUN_COMMITS.info, &DEADLINE.info],
+    groups: &[&MACHINE],
+};
+static TRACE: Cmd<'static> = Cmd {
+    name: "rfstudy trace",
+    about: "  formats: chrome (Perfetto-loadable trace-event JSON), text
+  (per-instruction cycle timeline), summary (stall attribution + latency
+  percentiles, reconciled against the simulator statistics). Aggregates
+  always cover the whole run, whatever --window keeps in detail.",
+    args: &[&BENCH.info, &TRACE_COMMITS.info, &TRACE_FORMAT.info, &TRACE_WINDOW.info, &OUT.info],
+    groups: &[&MACHINE],
+};
+static RECORD: Cmd<'static> = Cmd {
+    name: "rfstudy record",
+    about: "",
+    args: &[&BENCH.info, &RECORD_OUT.info, &RECORD_COUNT.info, &SEED.info],
+    groups: &[],
+};
+static REPLAY: Cmd<'static> = Cmd {
+    name: "rfstudy replay",
+    about: "",
+    args: &[&TRACE_FILE.info, &REPLAY_COMMITS.info],
+    groups: &[&MACHINE],
+};
+static CHECK: Cmd<'static> = Cmd {
+    name: "rfstudy check",
+    about: "  without options, checks all nine benchmarks at widths 4 and 8, precise
+  and imprecise exceptions, 2048 and 64 registers; each option pins one
+  dimension; --deadline-secs covers the whole matrix. Exits non-zero if
+  any invariant or static bound is violated.",
+    args: &[&DEADLINE.info],
+    groups: &[&MATRIX],
+};
+static MODEL: Cmd<'static> = Cmd {
+    name: "rfstudy model",
+    about: "  evaluates the static analytic model (rf-model) over the same pinnable
+  matrix as `rfstudy check` — no simulation, microseconds per
+  configuration. --format text prints one line per configuration; json
+  prints an array of estimate objects. With --check, every configuration
+  is additionally simulated and the model prediction is compared against
+  the measurement: exits non-zero when the mean absolute IPC error, any
+  single configuration's error, or a register-pressure bracket leaves the
+  accepted bands. --deadline-secs covers only the --check simulation
+  batch.",
+    args: &[&MODEL_CHECK.info, &MODEL_FORMAT.info, &DEADLINE.info],
+    groups: &[&MATRIX],
+};
+static DATAFLOW: Cmd<'static> = Cmd {
+    name: "rfstudy dataflow",
+    about: "",
+    args: &[&BENCH.info, &DATAFLOW_WINDOW.info, &DATAFLOW_COUNT.info],
+    groups: &[],
+};
+static REPORT: Cmd<'static> = Cmd {
+    name: "rfstudy report",
+    about: "  reads the run-history ledger written by the `all` suite binary and
+  compares the latest record against a baseline: --baseline REV pins a
+  git-revision prefix, else the rolling median of the last --window
+  comparable runs. Also scores the latest headline numbers against the
+  paper-fidelity targets. --check exits non-zero on a perf regression
+  beyond --max-regress-pct (widened per-harness by run-to-run noise) or
+  a fidelity drift outside the accepted band (scaled by --band-scale;
+  --fidelity warn reports drift without gating, off skips it). When
+  ledger records carry rf-prof self-profiles, a profile-drift section
+  tracks each span's share of suite self time vs the baseline window;
+  --profile-drift gate makes out-of-band shifts fail the check (off skips
+  the section). --prom FILE writes the latest record and scorecard as a
+  Prometheus text-format exposition.",
+    args: &[
+        &LEDGER.info,
+        &BASELINE.info,
+        &REPORT_WINDOW.info,
+        &REPORT_FORMAT.info,
+        &OUT.info,
+        &PROM.info,
+        &REPORT_CHECK.info,
+        &MAX_REGRESS.info,
+        &BAND_SCALE.info,
+        &FIDELITY.info,
+        &PROFILE_DRIFT.info,
+    ],
+    groups: &[],
+};
+static PROFILE: Cmd<'static> = Cmd {
+    name: "rfstudy profile",
+    about: "  forces the rf-prof self-profiler on, runs the check matrix, and renders
+  where the wall time went: text is a table of the --top N hottest spans
+  plus a coverage line, flame is collapsed-stack text every standard
+  flamegraph renderer loads, json is the ledger's profile-tree encoding.
+  --deadline-secs covers the instrumented batch.",
+    args: &[&PROFILE_FORMAT.info, &TOP_ROWS.info, &OUT.info, &DEADLINE.info],
+    groups: &[&MATRIX],
+};
+static TOP: Cmd<'static> = Cmd {
+    name: "rfstudy top",
+    about: "  attaches to the live telemetry stream a suite run started with
+  RF_TELEMETRY=1 writes and renders an in-place terminal view:
+  per-worker utilization bars, sims in flight / done / total, commits per
+  second, cache hit rate, and an ETA weighted by per-harness medians from
+  the run-history ledger. --once suits scripts and CI; --spawn makes a
+  one-command live run that needs no second terminal.",
+    args: &[&LIVE_FILE.info, &LEDGER.info, &INTERVAL_MS.info, &ONCE.info, &SPAWN.info],
+    groups: &[],
+};
+static STORE: Cmd<'static> = Cmd {
+    name: "rfstudy store",
+    about: "  operates on the durable content-addressed run store that suite runs
+  populate under RF_STORE=1. stats prints snapshot statistics: live
+  entries, records scanned, segments, bytes, torn/corrupt tails skipped,
+  and the per-schema mix. verify re-reads and checksums every live record
+  and exits 1 if any record fails. compact rewrites the store down to its
+  latest record per digest (dropping superseded writes and torn tails).
+  gc additionally drops records written under a stale key-schema version.",
+    args: &[&STORE_ACTION.info, &STORE_DIR.info],
+    groups: &[],
+};
+static TIMING: Cmd<'static> =
+    Cmd { name: "rfstudy timing", about: "", args: &[&WIDTH.info], groups: &[] };
+static DUMP: Cmd<'static> = Cmd {
+    name: "rfstudy dump",
+    about: "",
+    args: &[&TRACE_FILE.info, &DUMP_COUNT.info],
+    groups: &[],
+};
+
+/// Builds a [`Command`] from a command line its table accepted.
+type Build = fn(&Matches<'_>) -> Result<Command, String>;
+
+/// Every subcommand, in `rfstudy help` order, with its builder.
+static COMMANDS: [(&Cmd<'static>, Build); 14] = [
+    (&LIST, |_| Ok(Command::List)),
+    (&RUN, |m| {
+        Ok(Command::Run {
+            bench: m.value(&BENCH)?,
+            commits: m.value(&RUN_COMMITS)?,
+            deadline_secs: m.get(&DEADLINE)?,
+            machine: machine(m)?,
+        })
+    }),
+    (&TRACE, |m| {
+        Ok(Command::Trace {
+            bench: m.value(&BENCH)?,
+            commits: m.value(&TRACE_COMMITS)?,
+            format: m.value(&TRACE_FORMAT)?,
+            window: m.get(&TRACE_WINDOW)?,
+            out: m.get(&OUT)?,
+            machine: machine(m)?,
+        })
+    }),
+    (&RECORD, |m| {
+        Ok(Command::Record {
+            bench: m.value(&BENCH)?,
+            out: m.value(&RECORD_OUT)?,
+            count: m.value(&RECORD_COUNT)?,
+            seed: m.value(&SEED)?,
+        })
+    }),
+    (&REPLAY, |m| {
+        let (trace, commits) = (m.value(&TRACE_FILE)?, m.value(&REPLAY_COMMITS)?);
+        Ok(Command::Replay { trace, commits, machine: machine(m)? })
+    }),
+    (&CHECK, |m| Ok(Command::Check { pins: pins(m)?, deadline_secs: m.get(&DEADLINE)? })),
+    (&MODEL, |m| {
+        Ok(Command::Model {
+            pins: pins(m)?,
+            check: m.flag(&MODEL_CHECK),
+            format: m.value(&MODEL_FORMAT)?,
+            deadline_secs: m.get(&DEADLINE)?,
+        })
+    }),
+    (&DATAFLOW, |m| {
+        Ok(Command::Dataflow {
+            bench: m.value(&BENCH)?,
+            window: m.get(&DATAFLOW_WINDOW)?,
+            count: m.value(&DATAFLOW_COUNT)?,
+        })
+    }),
+    (&REPORT, |m| {
+        Ok(Command::Report {
+            ledger: m.value(&LEDGER)?,
+            baseline: m.get(&BASELINE)?,
+            window: m.value(&REPORT_WINDOW)?,
+            format: m.value(&REPORT_FORMAT)?,
+            out: m.get(&OUT)?,
+            prom: m.get(&PROM)?,
+            check: m.flag(&REPORT_CHECK),
+            max_regress_pct: m.value(&MAX_REGRESS)?,
+            band_scale: m.value(&BAND_SCALE)?,
+            fidelity: m.value(&FIDELITY)?,
+            profile_drift: m.value(&PROFILE_DRIFT)?,
+        })
+    }),
+    (&PROFILE, |m| {
+        Ok(Command::Profile {
+            pins: pins(m)?,
+            format: m.value(&PROFILE_FORMAT)?,
+            top: m.value(&TOP_ROWS)?,
+            out: m.get(&OUT)?,
+            deadline_secs: m.get(&DEADLINE)?,
+        })
+    }),
+    (&TOP, |m| {
+        Ok(Command::Top {
+            file: m.value(&LIVE_FILE)?,
+            ledger: m.value(&LEDGER)?,
+            interval_ms: m.value(&INTERVAL_MS)?,
+            once: m.flag(&ONCE),
+            spawn: m.flag(&SPAWN),
+        })
+    }),
+    (&STORE, |m| Ok(Command::Store { action: m.value(&STORE_ACTION)?, dir: m.get(&STORE_DIR)? })),
+    (&TIMING, |m| Ok(Command::Timing { width: m.value(&WIDTH)? })),
+    (&DUMP, |m| Ok(Command::Dump { trace: m.value(&TRACE_FILE)?, count: m.value(&DUMP_COUNT)? })),
+];
+
+fn machine(m: &Matches<'_>) -> Result<MachineOpts, String> {
+    Ok(MachineOpts {
+        width: m.value(&WIDTH)?,
+        dq: m.get(&DQ)?,
+        regs: m.value(&REGS)?,
+        exceptions: m.value(&EXCEPTIONS)?,
+        cache: m.value(&CACHE)?,
+        sched: m.value(&SCHED)?,
+        split_queues: m.flag(&SPLIT_QUEUES),
+        predictor: m.value(&PREDICTOR)?,
+        seed: m.value(&SEED)?,
     })
 }
 
-/// Parses a `--deadline-secs` value (shared by `run` and `check`).
-fn parse_deadline(opts: &[(String, Option<String>)]) -> Result<Option<f64>, String> {
-    opts.iter()
-        .find(|(o, _)| o == "--deadline-secs")
-        .and_then(|(_, v)| v.clone())
-        .map(|v| {
-            v.parse::<f64>()
-                .ok()
-                .filter(|s| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| {
-                    format!("--deadline-secs {v:?} is not a positive number of seconds")
-                })
-        })
-        .transpose()
+fn pins(m: &Matches<'_>) -> Result<MatrixPins, String> {
+    Ok(MatrixPins {
+        bench: m.get(&BENCH_PIN)?,
+        width: m.get(&WIDTH_PIN)?,
+        exceptions: m.get(&EXCEPTIONS_PIN)?,
+        regs: m.get(&REGS_PIN)?,
+        commits: m.get(&COMMITS_PIN)?,
+        seed: m.value(&SEED_PIN)?,
+    })
 }
 
-fn parse_mode(opt: &str, v: &str) -> Result<rf_obs::trend::FidelityMode, String> {
-    match v {
-        "gate" => Ok(rf_obs::trend::FidelityMode::Gate),
-        "warn" => Ok(rf_obs::trend::FidelityMode::Warn),
-        "off" => Ok(rf_obs::trend::FidelityMode::Off),
-        other => Err(format!("unknown {opt} mode {other:?} (expected gate, warn, or off)")),
-    }
+fn find(sub: &str) -> Option<&'static (&'static Cmd<'static>, Build)> {
+    COMMANDS.iter().find(|(cmd, _)| cmd.name.strip_prefix("rfstudy ") == Some(sub))
 }
 
 /// Parses a full argument vector (without the program name).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown commands, options, or
-/// malformed values.
+/// Returns a human-readable message for an unknown command, an unknown,
+/// duplicate or value-less option, a stray argument, or a malformed or
+/// out-of-range value.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter().map(String::as_str).peekable();
-    let cmd = match it.next() {
-        None | Some("help") | Some("--help") | Some("-h") => return Ok(Command::Help),
-        Some(c) => c,
+    let sub = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
+        Some(sub) => sub,
     };
-    // `store` is the one subcommand with a positional ACTION argument;
-    // grab it before the option loop (which rejects bare words).
-    let mut store_action: Option<String> = None;
-    if cmd == "store" {
-        if let Some(a) = it.peek() {
-            if !a.starts_with("--") {
-                store_action = it.next().map(str::to_owned);
-            }
-        }
-    }
-    // Collect option/value pairs.
-    let mut opts: Vec<(String, Option<String>)> = Vec::new();
-    while let Some(opt) = it.next() {
-        if !opt.starts_with("--") {
-            return Err(format!("unexpected argument {opt:?}"));
-        }
-        let value = if matches!(opt, "--split-queues" | "--check" | "--once" | "--spawn") {
-            None
-        } else {
-            it.next().map(str::to_owned)
-        };
-        opts.push((opt.to_owned(), value));
-    }
-    let take = |name: &str, opts: &[(String, Option<String>)]| -> Option<String> {
-        opts.iter().find(|(o, _)| o == name).and_then(|(_, v)| v.clone())
-    };
-
-    match cmd {
-        "list" => Ok(Command::List),
-        "run" => {
-            let bench = take("--bench", &opts).ok_or("run requires --bench")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(200_000), |v| parse_num("--commits", &v))?;
-            let deadline_secs = parse_deadline(&opts)?;
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if matches!(o.as_str(), "--bench" | "--commits" | "--deadline-secs") {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
-            }
-            Ok(Command::Run { bench, commits, deadline_secs, machine })
-        }
-        "trace" => {
-            let bench = take("--bench", &opts).ok_or("trace requires --bench")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(10_000), |v| parse_num("--commits", &v))?;
-            let format =
-                take("--format", &opts).map_or(Ok(TraceFormat::Summary), |v| TraceFormat::parse(&v))?;
-            let window =
-                take("--window", &opts).map(|v| parse_num("--window", &v)).transpose()?;
-            let out = take("--out", &opts);
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if matches!(o.as_str(), "--bench" | "--commits" | "--format" | "--window" | "--out")
-                {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
-            }
-            Ok(Command::Trace { bench, commits, format, window, out, machine })
-        }
-        "record" => Ok(Command::Record {
-            bench: take("--bench", &opts).ok_or("record requires --bench")?,
-            out: take("--out", &opts).ok_or("record requires --out")?,
-            count: take("--count", &opts).map_or(Ok(1_000_000), |v| parse_num("--count", &v))?,
-            seed: take("--seed", &opts).map_or(Ok(1), |v| parse_num("--seed", &v))?,
-        }),
-        "replay" => {
-            let trace = take("--trace", &opts).ok_or("replay requires --trace")?;
-            let commits =
-                take("--commits", &opts).map_or(Ok(0), |v| parse_num("--commits", &v))?;
-            let mut machine = MachineOpts::default();
-            for (o, v) in &opts {
-                if o == "--trace" || o == "--commits" {
-                    continue;
-                }
-                parse_machine(o, v.as_deref(), &mut machine)?;
-            }
-            Ok(Command::Replay { trace, commits, machine })
-        }
-        "check" => Ok(Command::Check {
-            pins: parse_pins(&opts)?,
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "model" => Ok(Command::Model {
-            pins: parse_pins(&opts)?,
-            check: opts.iter().any(|(o, _)| o == "--check"),
-            format: take("--format", &opts)
-                .map_or(Ok(ModelFormat::Text), |v| ModelFormat::parse(&v))?,
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "dataflow" => Ok(Command::Dataflow {
-            bench: take("--bench", &opts).ok_or("dataflow requires --bench")?,
-            window: take("--window", &opts)
-                .map(|v| parse_num("--window", &v))
-                .transpose()?,
-            count: take("--count", &opts).map_or(Ok(200_000), |v| parse_num("--count", &v))?,
-        }),
-        "report" => Ok(Command::Report {
-            ledger: take("--ledger", &opts)
-                .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
-            baseline: take("--baseline", &opts),
-            window: take("--window", &opts).map_or(Ok(5), |v| parse_num("--window", &v))?,
-            format: take("--format", &opts)
-                .map_or(Ok(ReportFormat::Text), |v| ReportFormat::parse(&v))?,
-            out: take("--out", &opts),
-            prom: take("--prom", &opts),
-            check: opts.iter().any(|(o, _)| o == "--check"),
-            max_regress_pct: take("--max-regress-pct", &opts)
-                .map_or(Ok(10.0), |v| parse_num("--max-regress-pct", &v))?,
-            band_scale: take("--band-scale", &opts)
-                .map_or(Ok(1.0), |v| parse_num("--band-scale", &v))?,
-            fidelity: take("--fidelity", &opts)
-                .map_or(Ok(rf_obs::trend::FidelityMode::Gate), |v| {
-                    parse_mode("--fidelity", &v)
-                })?,
-            profile_drift: take("--profile-drift", &opts)
-                .map_or(Ok(rf_obs::trend::FidelityMode::Warn), |v| {
-                    parse_mode("--profile-drift", &v)
-                })?,
-        }),
-        "profile" => Ok(Command::Profile {
-            pins: parse_pins(&opts)?,
-            format: take("--format", &opts)
-                .map_or(Ok(ProfileFormat::Text), |v| ProfileFormat::parse(&v))?,
-            top: take("--top", &opts).map_or(Ok(20), |v| parse_num("--top", &v))?,
-            out: take("--out", &opts),
-            deadline_secs: parse_deadline(&opts)?,
-        }),
-        "top" => {
-            let interval_ms: u64 = take("--interval-ms", &opts)
-                .map_or(Ok(500), |v| parse_num("--interval-ms", &v))?;
-            if interval_ms == 0 {
-                return Err("--interval-ms must be a positive number of milliseconds".into());
-            }
-            Ok(Command::Top {
-                file: take("--file", &opts)
-                    .unwrap_or_else(|| rf_obs::live::LIVE_PATH.to_owned()),
-                ledger: take("--ledger", &opts)
-                    .unwrap_or_else(|| rf_obs::ledger::LEDGER_PATH.to_owned()),
-                interval_ms,
-                once: opts.iter().any(|(o, _)| o == "--once"),
-                spawn: opts.iter().any(|(o, _)| o == "--spawn"),
-            })
-        }
-        "store" => {
-            let action = store_action
-                .ok_or("store requires an action: stats, verify, compact, or gc")?;
-            Ok(Command::Store {
-                action: StoreAction::parse(&action)?,
-                dir: take("--dir", &opts),
-            })
-        }
-        "timing" => Ok(Command::Timing {
-            width: take("--width", &opts).map_or(Ok(4), |v| parse_num("--width", &v))?,
-        }),
-        "dump" => Ok(Command::Dump {
-            trace: take("--trace", &opts).ok_or("dump requires --trace")?,
-            count: take("--count", &opts).map_or(Ok(0), |v| parse_num("--count", &v))?,
-        }),
-        other => Err(format!("unknown command {other:?}; try `rfstudy help`")),
+    let (cmd, build) = find(sub).ok_or(format!("unknown command {sub:?}; try `rfstudy help`"))?;
+    match cmd.parse(&args[1..])? {
+        Some(m) => build(&m),
+        None => Ok(Command::Usage(cmd.usage())),
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-rfstudy — register-file design study simulator (HPCA'96 reproduction)
+/// The usage to show after a usage error in `rfstudy SUB ...`: that
+/// subcommand's, or the full help when `SUB` is not one.
+pub fn usage_for(sub: Option<&String>) -> String {
+    sub.and_then(|s| find(s)).map_or_else(help, |(cmd, _)| cmd.usage())
+}
 
-USAGE:
-  rfstudy list
-  rfstudy run      --bench NAME [--commits N] [--deadline-secs S]
-                   [machine options]
-  rfstudy trace    --bench NAME [--commits N] [--format chrome|text|summary]
-                   [--window CYCLES] [--out FILE] [machine options]
-  rfstudy record   --bench NAME --out FILE [--count N] [--seed N]
-  rfstudy replay   --trace FILE [--commits N] [machine options]
-  rfstudy check    [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N] [--deadline-secs S]
-  rfstudy model    [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N] [--check]
-                   [--format text|json] [--deadline-secs S]
-  rfstudy dataflow --bench NAME [--window N] [--count N]
-  rfstudy report   [--ledger FILE] [--baseline REV | --window N]
-                   [--format text|markdown] [--out FILE] [--prom FILE]
-                   [--check] [--max-regress-pct P] [--band-scale S]
-                   [--fidelity gate|warn|off] [--profile-drift gate|warn|off]
-  rfstudy profile  [--bench NAME] [--width N] [--exceptions MODEL]
-                   [--regs N] [--commits N] [--seed N]
-                   [--format flame|json|text] [--top N] [--out FILE]
-                   [--deadline-secs S]
-  rfstudy top      [--file FILE] [--ledger FILE] [--interval-ms N]
-                   [--once] [--spawn]
-  rfstudy store    stats|verify|compact|gc [--dir DIR]
-  rfstudy timing   [--width N]
-  rfstudy dump     --trace FILE [--count N]
-  rfstudy help
-
-MACHINE OPTIONS:
-  --width N             issue width (default 4)
-  --dq N                dispatch-queue entries (default 8 x width)
-  --regs N              physical registers per class (default 2048)
-  --exceptions MODEL    precise | imprecise | alpha-hybrid
-  --cache ORG           perfect | lockup | lockup-free
-  --sched POLICY        oldest-first | youngest-first
-  --predictor KIND      bimodal | gshare | combining
-  --split-queues        split the dispatch queue (extension)
-  --seed N              workload / simulation seed
-
-RUN OPTIONS:
-  --deadline-secs S     wall-clock budget in seconds; an overrunning
-                        simulation is cancelled cooperatively (its partial
-                        statistics are discarded) and rfstudy exits 1
-
-TRACE OPTIONS:
-  --format FMT          chrome (Perfetto-loadable trace-event JSON),
-                        text (per-instruction cycle timeline), or
-                        summary (stall attribution + latency percentiles,
-                        reconciled against the simulator statistics)
-  --window CYCLES       keep only the last CYCLES cycles of per-instruction
-                        detail (aggregates always cover the whole run)
-  --out FILE            write the export to FILE instead of stdout
-
-CHECK OPTIONS:
-  without options, checks all nine benchmarks at widths 4 and 8, precise
-  and imprecise exceptions, 2048 and 64 registers; each option pins one
-  dimension. --commits defaults to the RF_COMMITS environment variable,
-  or 10000. --deadline-secs bounds the wall time of the whole matrix
-  (an overrunning run is cancelled and rfstudy exits 1). Exits non-zero
-  if any invariant or static bound is violated.
-
-MODEL OPTIONS:
-  evaluates the static analytic model (rf-model) over the same pinnable
-  matrix as `rfstudy check` — no simulation, microseconds per
-  configuration. --format text (default) prints one line per
-  configuration; json prints an array of estimate objects. With
-  --check, every configuration is additionally simulated and the model
-  prediction is compared against the measurement: exits non-zero when
-  the mean absolute IPC error, any single configuration's error, or a
-  register-pressure bracket leaves the accepted bands. --deadline-secs
-  bounds the wall time of the --check simulation batch (overrunning
-  configurations fail and rfstudy exits 1).
-
-REPORT OPTIONS:
-  reads the run-history ledger written by the `all` suite binary
-  (default results/history/suite.jsonl) and compares the latest record
-  against a baseline: --baseline REV pins a git-revision prefix, else
-  the rolling median of the last --window comparable runs (default 5).
-  Also scores the latest headline numbers against the paper-fidelity
-  targets. --check exits non-zero on a perf regression beyond
-  --max-regress-pct (default 10, widened per-harness by run-to-run
-  noise) or a fidelity drift outside the accepted band (scaled by
-  --band-scale; --fidelity warn reports drift without gating, off
-  skips it). When ledger records carry rf-prof self-profiles, a
-  profile-drift section tracks each span's share of suite self time
-  vs the baseline window; --profile-drift gate makes out-of-band
-  shifts fail the check (default warn; off skips the section).
-  --prom FILE additionally writes a Prometheus text-format
-  exposition of the latest record and scorecard.
-
-PROFILE OPTIONS:
-  forces the rf-prof self-profiler on, runs the check matrix (same
-  pinnable dimensions as `rfstudy check`; --commits defaults to
-  RF_COMMITS or 10000), and renders where the wall time went:
-  --format text (default) is a table of the --top N hottest spans
-  plus a coverage line, flame is collapsed-stack text every standard
-  flamegraph renderer loads, json is the ledger's profile-tree
-  encoding. --out FILE writes the rendering instead of stdout.
-  --deadline-secs bounds the wall time of the instrumented batch
-  (an overrunning run is cancelled and rfstudy exits 1).
-
-TOP OPTIONS:
-  attaches to the live telemetry stream a suite run started with
-  RF_TELEMETRY=1 writes (default results/telemetry/live.jsonl; --file
-  overrides) and renders an in-place terminal view: per-worker
-  utilization bars, sims in flight / done / total, commits per second,
-  cache hit rate, and an ETA weighted by per-harness medians from the
-  run-history ledger (--ledger overrides the default
-  results/history/suite.jsonl). --interval-ms sets the refresh period
-  (default 500). --once renders a single frame and exits — useful in
-  scripts and CI. --spawn launches the suite binary itself with
-  RF_TELEMETRY=1 set and attaches to it, so a one-command live run
-  needs no second terminal.
-
-STORE OPTIONS:
-  operates on the durable content-addressed run store that suite runs
-  populate under RF_STORE=1 (--dir overrides the directory; default
-  RF_STORE_DIR or results/store). stats prints snapshot statistics:
-  live entries, records scanned, segments, bytes, torn/corrupt tails
-  skipped, and the per-schema mix. verify re-reads and checksums every
-  live record and exits 1 if any record fails. compact rewrites the
-  store down to its latest record per digest (dropping superseded
-  writes and torn tails). gc additionally drops records written under
-  a stale key-schema version.
-
+/// The full `rfstudy help`: every synopsis, the shared option groups,
+/// each subcommand's own options and prose, and the exit codes.
+pub fn help() -> String {
+    let mut out = String::from(
+        "rfstudy — register-file design study simulator (HPCA'96 reproduction)\n\nUSAGE:\n",
+    );
+    for (cmd, _) in &COMMANDS {
+        let _ = writeln!(out, "  {}", cmd.synopsis(2));
+    }
+    out.push_str("  rfstudy help\n");
+    for group in [&MACHINE, &MATRIX] {
+        let title = group.title.to_uppercase();
+        let _ = write!(out, "\n{title}:\n{}", args::option_lines(group.args));
+    }
+    for (cmd, _) in COMMANDS.iter().filter(|(cmd, _)| !cmd.args.is_empty()) {
+        let sub = cmd.name.trim_start_matches("rfstudy ").to_uppercase();
+        let _ = write!(out, "\n{sub} OPTIONS:\n{}", args::option_lines(cmd.args));
+        if !cmd.about.is_empty() {
+            let _ = writeln!(out, "\n{}", cmd.about);
+        }
+    }
+    out + "
 EXIT STATUS:
   0  success
   1  runtime failure (simulation error, sanitizer violation, failed
      check/report gate, store verification failure, exceeded
      --deadline-secs)
-  2  usage error (unknown command or option, malformed value or RF_*
-     knob, a `top` attach to a stream file that does not exist)
-";
+  2  usage error (unknown command, option or benchmark; a duplicated
+     option or one missing its value; a malformed or out-of-range value
+     or RF_* knob; a `top` attach to a stream file that does not exist)
+"
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rf_workload::spec92;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_owned).collect()
@@ -863,7 +814,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Run { bench, commits, deadline_secs, machine } => {
-                assert_eq!(bench, "tomcatv");
+                assert_eq!(bench.name, "tomcatv");
                 assert_eq!(commits, 5000);
                 assert_eq!(deadline_secs, None);
                 assert_eq!(machine.width, 8);
@@ -886,7 +837,9 @@ mod tests {
     #[test]
     fn run_parses_a_deadline_and_rejects_malformed_ones() {
         match parse(&argv("run --bench ora --deadline-secs 1.5")).unwrap() {
-            Command::Run { deadline_secs, .. } => assert_eq!(deadline_secs, Some(1.5)),
+            Command::Run { deadline_secs, .. } => {
+                assert_eq!(deadline_secs, Some(Duration::from_secs_f64(1.5)));
+            }
             other => panic!("unexpected {other:?}"),
         }
         for bad in ["0", "-2", "nan", "inf", "abc"] {
@@ -902,7 +855,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Record {
-                bench: "gcc1".into(),
+                bench: spec92::gcc1(),
                 out: "/tmp/t.rft".into(),
                 count: 42,
                 seed: 1
@@ -924,7 +877,7 @@ mod tests {
         let cmd = parse(&argv("dataflow --bench ora --window 64")).unwrap();
         assert_eq!(
             cmd,
-            Command::Dataflow { bench: "ora".into(), window: Some(64), count: 200_000 }
+            Command::Dataflow { bench: spec92::ora(), window: Some(64), count: 200_000 }
         );
         assert_eq!(parse(&argv("timing --width 8")).unwrap(), Command::Timing { width: 8 });
     }
@@ -950,7 +903,7 @@ mod tests {
         .unwrap()
         {
             Command::Check { pins, .. } => {
-                assert_eq!(pins.bench.as_deref(), Some("compress"));
+                assert_eq!(pins.bench, Some(spec92::compress()));
                 assert_eq!(pins.width, Some(8));
                 assert_eq!(pins.exceptions, Some(ExceptionModel::Imprecise));
                 assert_eq!(pins.regs, Some(64));
@@ -965,7 +918,9 @@ mod tests {
     #[test]
     fn check_parses_a_deadline_and_rejects_malformed_ones() {
         match parse(&argv("check --bench ora --deadline-secs 2.5")).unwrap() {
-            Command::Check { deadline_secs, .. } => assert_eq!(deadline_secs, Some(2.5)),
+            Command::Check { deadline_secs, .. } => {
+                assert_eq!(deadline_secs, Some(Duration::from_secs_f64(2.5)));
+            }
             other => panic!("unexpected {other:?}"),
         }
         for bad in ["0", "-2", "nan", "inf", "abc"] {
@@ -993,7 +948,7 @@ mod tests {
         .unwrap()
         {
             Command::Model { pins, check, format, .. } => {
-                assert_eq!(pins.bench.as_deref(), Some("tomcatv"));
+                assert_eq!(pins.bench, Some(spec92::tomcatv()));
                 assert_eq!(pins.width, Some(8));
                 assert_eq!(pins.exceptions, Some(ExceptionModel::Imprecise));
                 assert_eq!(pins.regs, Some(64));
@@ -1013,7 +968,7 @@ mod tests {
         match parse(&argv("model --check --deadline-secs 4.5")).unwrap() {
             Command::Model { check, deadline_secs, .. } => {
                 assert!(check);
-                assert_eq!(deadline_secs, Some(4.5));
+                assert_eq!(deadline_secs, Some(Duration::from_secs_f64(4.5)));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1042,7 +997,7 @@ mod tests {
         assert_eq!(params[0].regs, 2048);
         // Pinning every dimension yields exactly one configuration.
         let pinned = MatrixPins {
-            bench: Some("compress".into()),
+            bench: Some(spec92::compress()),
             width: Some(8),
             exceptions: Some(ExceptionModel::Imprecise),
             regs: Some(64),
@@ -1055,9 +1010,6 @@ mod tests {
         assert_eq!(params[0].width, 8);
         assert_eq!(params[0].exceptions, ExceptionModel::Imprecise);
         assert_eq!(params[0].regs, 64);
-        // Unknown benchmarks are rejected at expansion time.
-        let bogus = MatrixPins { bench: Some("nope".into()), ..pinned };
-        assert!(bogus.expand().is_err());
     }
 
     #[test]
@@ -1085,8 +1037,8 @@ mod tests {
                 assert!(!check);
                 assert_eq!(max_regress_pct, 10.0);
                 assert_eq!(band_scale, 1.0);
-                assert_eq!(fidelity, rf_obs::trend::FidelityMode::Gate);
-                assert_eq!(profile_drift, rf_obs::trend::FidelityMode::Warn);
+                assert_eq!(fidelity, FidelityMode::Gate);
+                assert_eq!(profile_drift, FidelityMode::Warn);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1124,8 +1076,8 @@ mod tests {
                 assert!(check);
                 assert_eq!(max_regress_pct, 25.0);
                 assert_eq!(band_scale, 3.0);
-                assert_eq!(fidelity, rf_obs::trend::FidelityMode::Warn);
-                assert_eq!(profile_drift, rf_obs::trend::FidelityMode::Gate);
+                assert_eq!(fidelity, FidelityMode::Warn);
+                assert_eq!(profile_drift, FidelityMode::Gate);
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -1159,7 +1111,7 @@ mod tests {
         .unwrap()
         {
             Command::Profile { pins, format, top, out, .. } => {
-                assert_eq!(pins.bench.as_deref(), Some("tomcatv"));
+                assert_eq!(pins.bench, Some(spec92::tomcatv()));
                 assert_eq!(pins.width, Some(8));
                 assert_eq!(pins.exceptions, Some(ExceptionModel::Imprecise));
                 assert_eq!(pins.regs, Some(64));
@@ -1178,7 +1130,9 @@ mod tests {
     #[test]
     fn profile_parses_a_deadline_and_rejects_malformed_ones() {
         match parse(&argv("profile --bench ora --deadline-secs 3.5")).unwrap() {
-            Command::Profile { deadline_secs, .. } => assert_eq!(deadline_secs, Some(3.5)),
+            Command::Profile { deadline_secs, .. } => {
+                assert_eq!(deadline_secs, Some(Duration::from_secs_f64(3.5)));
+            }
             other => panic!("unexpected {other:?}"),
         }
         for bad in ["0", "-2", "nan", "inf", "abc"] {
@@ -1258,7 +1212,7 @@ mod tests {
         .unwrap();
         match cmd {
             Command::Trace { bench, commits, format, window, out, machine } => {
-                assert_eq!(bench, "tomcatv");
+                assert_eq!(bench.name, "tomcatv");
                 assert_eq!(commits, 2000);
                 assert_eq!(format, TraceFormat::Chrome);
                 assert_eq!(window, Some(500));
@@ -1298,7 +1252,7 @@ mod tests {
             "list", "run", "trace", "record", "replay", "check", "model", "dataflow",
             "report", "profile", "top", "store", "timing", "dump",
         ] {
-            assert!(USAGE.contains(&format!("rfstudy {sub}")), "usage missing {sub}");
+            assert!(help().contains(&format!("rfstudy {sub}")), "usage missing {sub}");
         }
     }
 
@@ -1315,5 +1269,42 @@ mod tests {
         assert_eq!(parse(&[]).unwrap(), Command::Help);
         assert_eq!(parse(&argv("help")).unwrap(), Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn strict_shapes_and_ranges_are_usage_errors() {
+        for (line, needle) in [
+            ("check --bogus-flag", "unknown option \"--bogus-flag\""),
+            ("report --check --max-regres-pct 5", "--max-regres-pct"),
+            ("run --bench ora --commits", "--commits requires a value"),
+            ("run --bench ora --bench compress", "duplicate option --bench"),
+            ("store stats --dir", "--dir requires a value"),
+            ("run --bench ora --width 0", "--width \"0\" is not a positive integer"),
+            ("run --bench ora --regs 10", "--regs \"10\" is below the minimum of 32"),
+            ("run --bench ora --dq 0", "--dq \"0\""),
+            ("check --regs 10", "--regs \"10\""),
+            ("timing --width 0", "--width \"0\""),
+            ("dataflow --bench ora --window 0", "--window \"0\""),
+            ("check --bench nope", "unknown benchmark"),
+            ("record --bench nope --out x.rft", "unknown benchmark"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    #[test]
+    fn help_on_a_subcommand_renders_its_table() {
+        for sub in ["check", "run", "profile", "store", "list"] {
+            match parse(&argv(&format!("{sub} --help"))).unwrap() {
+                Command::Usage(text) => {
+                    assert!(text.starts_with(&format!("usage: rfstudy {sub}")), "{text}");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let Command::Usage(run) = parse(&argv("run -h")).unwrap() else { panic!("run -h") };
+        assert!(run.contains("--exceptions precise|imprecise|alpha-hybrid"), "{run}");
+        assert!(run.contains("(default 200000)"), "{run}");
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! Exit status: 0 on success, 1 on a runtime failure (simulation error,
 //! sanitizer violation, failed gate, exceeded deadline), 2 on a usage
-//! error (unknown command/option, malformed value, or a `top` attach to
-//! a telemetry stream file that does not exist).
+//! error (unknown command, option or benchmark, duplicate or value-less
+//! option, malformed or out-of-range value, or a `top` attach to a
+//! telemetry stream file that does not exist).
 
 mod cli;
 
@@ -16,6 +17,7 @@ use rf_check::{CheckParams, Sanitizer};
 use rf_core::dataflow::analyze;
 use rf_core::{CancelToken, Cancelled, LiveModel, Pipeline, SimStats};
 use std::collections::HashMap;
+use std::time::Duration;
 use rf_obs::Recorder;
 use rf_isa::RegClass;
 use rf_timing::{RegFileGeometry, TimingModel};
@@ -27,8 +29,7 @@ fn main() -> ExitCode {
     let cmd = match cli::parse(&args) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", cli::USAGE);
+            eprint!("error: {e}\n\n{}", cli::usage_for(args.first()));
             return ExitCode::from(2);
         }
     };
@@ -74,7 +75,11 @@ fn env_knobs(cmd: &Command) -> Result<(), String> {
 fn dispatch(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Help => {
-            println!("{}", cli::USAGE);
+            print!("{}", cli::help());
+            Ok(())
+        }
+        Command::Usage(text) => {
+            print!("{text}");
             Ok(())
         }
         Command::List => {
@@ -91,27 +96,12 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Run { bench, commits, deadline_secs, machine } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let mut trace = TraceGenerator::new(&profile, machine.seed);
-            // The watchdog thread fires the token after the wall budget;
-            // the pipeline polls it cooperatively and discards its partial
-            // state. The thread is detached — it holds only a token clone,
-            // and the process outlives any still-pending sleep by at most
-            // the time it takes `main` to return.
-            let cancel = deadline_secs.map(|secs| {
-                let token = CancelToken::new();
-                let armed = token.clone();
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-                    armed.cancel();
-                });
-                token
-            });
+            let mut trace = TraceGenerator::new(&bench, machine.seed);
+            let cancel = watchdog(deadline_secs);
             let deadline_err = |c: Cancelled| {
                 format!(
                     "deadline of {}s exceeded at cycle {} (partial statistics discarded)",
-                    deadline_secs.unwrap_or_default(),
+                    deadline_secs.unwrap_or_default().as_secs_f64(),
                     c.at_cycle
                 )
             };
@@ -123,7 +113,7 @@ fn dispatch(cmd: Command) -> Result<(), String> {
                 }
                 let (stats, sanitizer) =
                     pipeline.try_run_observed(&mut trace, commits).map_err(deadline_err)?;
-                print_stats(&bench, &stats);
+                print_stats(&bench.name, &stats);
                 println!("{}", sanitizer.report());
                 if !sanitizer.is_clean() {
                     return Err(format!(
@@ -137,14 +127,12 @@ fn dispatch(cmd: Command) -> Result<(), String> {
                     pipeline = pipeline.with_cancel(token);
                 }
                 let stats = pipeline.try_run(&mut trace, commits).map_err(deadline_err)?;
-                print_stats(&bench, &stats);
+                print_stats(&bench.name, &stats);
             }
             Ok(())
         }
         Command::Trace { bench, commits, format, window, out, machine } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let mut trace = TraceGenerator::new(&profile, machine.seed);
+            let mut trace = TraceGenerator::new(&bench, machine.seed);
             let recorder = match window {
                 Some(w) => Recorder::with_window(w),
                 None => Recorder::unbounded(),
@@ -162,8 +150,9 @@ fn dispatch(cmd: Command) -> Result<(), String> {
                     std::fs::write(&path, &rendered)
                         .map_err(|e| format!("cannot write {path:?}: {e}"))?;
                     eprintln!(
-                        "traced {} commits of {bench} over {} cycles -> {path} ({} bytes)",
+                        "traced {} commits of {} over {} cycles -> {path} ({} bytes)",
                         stats.committed,
+                        bench.name,
                         stats.cycles,
                         rendered.len()
                     );
@@ -173,14 +162,12 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Record { bench, out, count, seed } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
             let mut file = std::fs::File::create(&out)
                 .map_err(|e| format!("cannot create {out:?}: {e}"))?;
-            let gen = TraceGenerator::new(&profile, seed);
+            let gen = TraceGenerator::new(&bench, seed);
             let n = trace_io::write_trace(&mut file, gen.take(count as usize))
                 .map_err(|e| format!("write failed: {e}"))?;
-            println!("recorded {n} instructions of {bench} to {out}");
+            println!("recorded {n} instructions of {} to {out}", bench.name);
             Ok(())
         }
         Command::Replay { trace, commits, machine } => {
@@ -228,11 +215,9 @@ fn dispatch(cmd: Command) -> Result<(), String> {
             profile_drift,
         ),
         Command::Dataflow { bench, window, count } => {
-            let profile =
-                spec92::by_name(&bench).ok_or_else(|| format!("unknown benchmark {bench:?}"))?;
-            let gen = TraceGenerator::new(&profile, 1);
+            let gen = TraceGenerator::new(&bench, 1);
             let limit = analyze(gen.take(count as usize), window);
-            println!("benchmark      : {bench}");
+            println!("benchmark      : {}", bench.name);
             println!("instructions   : {}", limit.instructions);
             println!("critical path  : {} cycles", limit.critical_path);
             match window {
@@ -269,6 +254,23 @@ fn dispatch(cmd: Command) -> Result<(), String> {
     }
 }
 
+/// Arms a detached watchdog thread that fires the returned token once
+/// `deadline` elapses; pipelines poll it cooperatively and discard their
+/// partial state. The thread holds only a token clone, and the process
+/// outlives any still-pending sleep by at most the time it takes `main`
+/// to return.
+fn watchdog(deadline: Option<Duration>) -> Option<CancelToken> {
+    deadline.map(|d| {
+        let token = CancelToken::new();
+        let armed = token.clone();
+        std::thread::spawn(move || {
+            std::thread::sleep(d);
+            armed.cancel();
+        });
+        token
+    })
+}
+
 fn run_replay(
     name: &str,
     insts: Vec<rf_isa::Instruction>,
@@ -301,21 +303,11 @@ fn run_replay(
 /// The `check` subcommand: cross-validates the simulator against the
 /// static oracle over the requested configuration matrix (the full
 /// default matrix when no dimension is pinned).
-fn run_check(pins: &cli::MatrixPins, deadline_secs: Option<f64>) -> Result<(), String> {
+fn run_check(pins: &cli::MatrixPins, deadline: Option<Duration>) -> Result<(), String> {
     let matrix = pins.expand()?;
-    // Same watchdog shape as `run`: a detached thread fires the token
-    // after the wall budget; every cross-validation pipeline polls it
-    // cooperatively, so the deadline covers the whole matrix, not each
-    // configuration separately.
-    let cancel = deadline_secs.map(|secs| {
-        let token = CancelToken::new();
-        let armed = token.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_secs_f64(secs));
-            armed.cancel();
-        });
-        token
-    });
+    // One token for every cross-validation pipeline, so the deadline
+    // covers the whole matrix, not each configuration separately.
+    let cancel = watchdog(deadline);
 
     let mut failures = 0u64;
     let mut runs = 0u64;
@@ -366,7 +358,7 @@ fn run_model(
     pins: &cli::MatrixPins,
     check: bool,
     format: cli::ModelFormat,
-    deadline_secs: Option<f64>,
+    deadline: Option<Duration>,
 ) -> Result<(), String> {
     let matrix = pins.expand()?;
     let extract = std::time::Instant::now();
@@ -383,7 +375,7 @@ fn run_model(
                 config.cache_org(),
                 config.predictor_kind(),
             )
-            .expect("benchmark validated by MatrixPins::expand")
+            .expect("benchmark validated by the --bench parser")
         });
     }
     let extract_ns = extract.elapsed().as_nanos() as u64;
@@ -398,7 +390,7 @@ fn run_model(
     let eval_ns = eval.elapsed().as_nanos() as u64;
 
     if check {
-        return model_check(&matrix, &summaries, &estimates, extract_ns, eval_ns, deadline_secs);
+        return model_check(&matrix, &summaries, &estimates, extract_ns, eval_ns, deadline);
     }
     match format {
         cli::ModelFormat::Json => {
@@ -466,13 +458,11 @@ fn model_check(
     estimates: &[rf_model::ModelEstimate],
     extract_ns: u64,
     eval_ns: u64,
-    deadline_secs: Option<f64>,
+    deadline: Option<Duration>,
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
     let specs: Vec<_> = matrix.iter().map(spec_for).collect();
-    let opts = deadline_secs.map_or_else(BatchOpts::unbounded, |secs| {
-        BatchOpts::with_deadline(std::time::Duration::from_secs_f64(secs))
-    });
+    let opts = deadline.map_or_else(BatchOpts::unbounded, BatchOpts::with_deadline);
     let sim_wall = std::time::Instant::now();
     let results = SimPool::from_env().try_run_many_opts(&specs, &RunCache::disabled(), opts);
     let sim_ns = sim_wall.elapsed().as_nanos() as u64;
@@ -554,15 +544,13 @@ fn run_profile(
     format: cli::ProfileFormat,
     top: usize,
     out: Option<String>,
-    deadline_secs: Option<f64>,
+    deadline: Option<Duration>,
 ) -> Result<(), String> {
     use rf_experiments::runner::{BatchOpts, RunCache, SimPool};
     let matrix = pins.expand()?;
     let commits = matrix.first().map_or(0, |p| p.commits);
     let specs: Vec<_> = matrix.iter().map(spec_for).collect();
-    let opts = deadline_secs.map_or_else(BatchOpts::unbounded, |secs| {
-        BatchOpts::with_deadline(std::time::Duration::from_secs_f64(secs))
-    });
+    let opts = deadline.map_or_else(BatchOpts::unbounded, BatchOpts::with_deadline);
 
     rf_prof::set_enabled(true);
     let wall = std::time::Instant::now();

@@ -29,6 +29,7 @@
 //! cross-check widens it by the simulator's own count of inserted but
 //! never-committed (wrong-path or still in-flight) instructions.
 
+use rf_core::U64HashBuilder;
 use rf_isa::{Instruction, OpKind, RegClass};
 use std::collections::HashMap;
 
@@ -125,16 +126,39 @@ impl Def {
 /// per-cycle insert bandwidth (`1.5 x width` in the paper), which paces
 /// the ideal schedule's rename times.
 pub fn analyze(insts: &[Instruction], insert_bw: usize) -> TraceOracle {
-    let ibw = insert_bw.max(1) as u64;
     let n = insts.len();
-    // Per-class def lists; ids 0..31 are the initial mappings.
+    let s = schedule(insts, insert_bw);
+    let classes = [RegClass::Int, RegClass::Fp]
+        .map(|class| summarize(&s.defs[class.index()], n, s.ideal_cycles));
+    TraceOracle {
+        instructions: n as u64,
+        loads: s.loads,
+        stores: s.stores,
+        branches: s.branches,
+        ideal_cycles: s.ideal_cycles,
+        classes,
+    }
+}
+
+/// A trace prefix's defs under the ideal schedule, before summarizing.
+struct Schedule {
+    /// Per-class def lists; ids 0..31 are the initial mappings.
+    defs: [Vec<Def>; 2],
+    loads: u64,
+    stores: u64,
+    branches: u64,
+    ideal_cycles: u64,
+}
+
+fn schedule(insts: &[Instruction], insert_bw: usize) -> Schedule {
+    let ibw = insert_bw.max(1) as u64;
     let mut defs: [Vec<Def>; 2] = [
         (0..31).map(|_| Def::initial()).collect(),
         (0..31).map(|_| Def::initial()).collect(),
     ];
     // Current def id of each virtual register.
     let mut cur: [[usize; 31]; 2] = [std::array::from_fn(|v| v), std::array::from_fn(|v| v)];
-    let mut store_finish: HashMap<u64, u64> = HashMap::new();
+    let mut store_finish: HashMap<u64, u64, U64HashBuilder> = HashMap::default();
     let (mut loads, mut stores, mut branches) = (0u64, 0u64, 0u64);
     let mut ideal_cycles = 0u64;
 
@@ -197,19 +221,7 @@ pub fn analyze(insts: &[Instruction], insert_bw: usize) -> TraceOracle {
         }
         ideal_cycles = ideal_cycles.max(finish);
     }
-
-    let classes = [RegClass::Int, RegClass::Fp].map(|class| {
-        summarize(&defs[class.index()], n, ideal_cycles)
-    });
-
-    TraceOracle {
-        instructions: n as u64,
-        loads,
-        stores,
-        branches,
-        ideal_cycles,
-        classes,
-    }
+    Schedule { defs, loads, stores, branches, ideal_cycles }
 }
 
 fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
@@ -221,9 +233,7 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
 
     // Sound floor: sweep interval overlap over trace positions.
     let mut delta = vec![0i64; n + 1];
-    // Ideal demand: event sweep over rename-to-free lifetimes in cycle
-    // space, plus per-category duration sums.
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(defs.len() * 2);
+    // Per-category durations of the ideal schedule's lifetimes.
     let mut cat_sums = [0u64; 3];
 
     for d in defs {
@@ -250,16 +260,7 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
             delta[start as usize] += 1;
             delta[end as usize + 1] -= 1;
         }
-        // Ideal-schedule lifetime: rename until the later of the killing
-        // writer's completion, the last reader's completion, and the
-        // def's own completion (the imprecise freeing conditions).
-        let kill = match d.next_def_id {
-            Some(id) => defs[id].finish_at,
-            None => ideal_cycles,
-        };
-        let free_at = kill.max(d.reader_finish).max(d.finish_at);
-        events.push((d.rename_at, 1));
-        events.push((free_at + 1, -1));
+        let free_at = free_at(defs, d, ideal_cycles);
         cat_sums[0] += d.issue_at - d.rename_at;
         cat_sums[1] += d.finish_at - d.issue_at;
         cat_sums[2] += free_at - d.finish_at;
@@ -273,21 +274,13 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
     }
     let floor = (floor.max(0) as usize).max(31);
 
-    events.sort_unstable();
-    let mut demand = 0i64;
-    let mut acc = 0i64;
-    for (_, d) in events {
-        acc += d;
-        demand = demand.max(acc);
-    }
-
     let cycles = ideal_cycles.max(1) as f64;
     ClassOracle {
         defs: trace_defs,
         uses,
         dead_defs: dead,
         floor,
-        ideal_demand: demand.max(0) as usize,
+        ideal_demand: ideal_demand(defs, ideal_cycles),
         ideal_cat_means: cat_sums.map(|s| s as f64 / cycles),
         mean_def_use_span: if span_count > 0 {
             span_sum as f64 / span_count as f64
@@ -297,10 +290,103 @@ fn summarize(defs: &[Def], n: usize, ideal_cycles: u64) -> ClassOracle {
     }
 }
 
+/// The cycle the ideal schedule frees `d`: the later of the killing
+/// writer's completion, the last reader's completion, and the def's own
+/// completion (the imprecise freeing conditions). A def never killed
+/// lives to the end of the schedule. At most `ideal_cycles`.
+fn free_at(defs: &[Def], d: &Def, ideal_cycles: u64) -> u64 {
+    let kill = d.next_def_id.map_or(ideal_cycles, |id| defs[id].finish_at);
+    kill.max(d.reader_finish).max(d.finish_at)
+}
+
+/// Peak register demand of the ideal schedule: the max overlap of the
+/// defs' `[rename_at, free_at]` lifetimes. Every lifetime starts by
+/// `ideal_cycles` and ends by `ideal_cycles + 1`, so a counting sweep
+/// over those cycles finds the peak without sorting any events.
+fn ideal_demand(defs: &[Def], ideal_cycles: u64) -> usize {
+    let mut delta = vec![0i32; ideal_cycles as usize + 2];
+    for d in defs {
+        delta[d.rename_at as usize] += 1;
+        delta[free_at(defs, d, ideal_cycles) as usize + 1] -= 1;
+    }
+    let mut peak = 0i32;
+    let mut acc = 0i32;
+    for d in delta {
+        acc += d;
+        peak = peak.max(acc);
+    }
+    peak as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rf_isa::ArchReg;
+
+    /// The sort-based event sweep that [`ideal_demand`] replaced, kept
+    /// as its reference: a rename and a free event per def, sorted so
+    /// frees run before renames in the same cycle.
+    fn ideal_demand_by_sort(defs: &[Def], ideal_cycles: u64) -> usize {
+        let mut events: Vec<(u64, i64)> = Vec::with_capacity(defs.len() * 2);
+        for d in defs {
+            events.push((d.rename_at, 1));
+            events.push((free_at(defs, d, ideal_cycles) + 1, -1));
+        }
+        events.sort_unstable();
+        let mut demand = 0i64;
+        let mut acc = 0i64;
+        for (_, d) in events {
+            acc += d;
+            demand = demand.max(acc);
+        }
+        demand.max(0) as usize
+    }
+
+    /// One instruction of a random trace: every op kind, any register
+    /// (the zero register included; `a` and `b` below 32 pick an int
+    /// register, from 32 an fp one), and a few shared addresses so
+    /// loads wait on earlier stores.
+    fn random_inst((op, dest, a, b, addr): (u8, u8, u8, u8, u64)) -> Instruction {
+        let reg = |r: u8| {
+            let class = if r < 32 { RegClass::Int } else { RegClass::Fp };
+            ArchReg::new(class, r % 32)
+        };
+        let (int, fp) = (ArchReg::int(dest), ArchReg::fp(dest));
+        let base = ArchReg::int(a % 32);
+        match op {
+            0 => Instruction::int_alu(int, [Some(base), Some(ArchReg::int(b % 32))]),
+            1 => Instruction::int_mul(int, [Some(base), Some(ArchReg::int(b % 32))]),
+            2 => Instruction::fp_op(fp, [Some(reg(a)), Some(reg(b))]),
+            3 => Instruction::fp_div(fp, [Some(reg(a)), None], b < 32),
+            4 => Instruction::load(if b < 32 { int } else { fp }, base, addr * 8),
+            5 => Instruction::store(reg(b), base, addr * 8),
+            6 => Instruction::cond_branch(addr * 4, b < 32, Some(reg(a))),
+            _ => Instruction::jump(Some(int), Some(reg(a))),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The counting sweep finds the same peak demand as the sorted
+        /// event sweep, for both classes of any trace and bandwidth.
+        fn counting_sweep_matches_the_sorted_sweep(
+            insts in prop::collection::vec(
+                (0u8..8, 0u8..32, 0u8..64, 0u8..64, 0u64..6).prop_map(random_inst),
+                0..400,
+            ),
+            insert_bw in 1usize..13,
+        ) {
+            let s = schedule(&insts, insert_bw);
+            for defs in &s.defs {
+                prop_assert_eq!(
+                    ideal_demand(defs, s.ideal_cycles),
+                    ideal_demand_by_sort(defs, s.ideal_cycles)
+                );
+            }
+        }
+    }
 
     fn alu(dest: u8, srcs: [Option<ArchReg>; 2]) -> Instruction {
         Instruction::int_alu(ArchReg::int(dest), srcs)

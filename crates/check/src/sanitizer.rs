@@ -28,7 +28,7 @@
 //!   mapping; under imprecise models, commit frees nothing.
 
 use rf_core::obs::{EventKind, Observer, TraceEvent};
-use rf_core::ExceptionModel;
+use rf_core::{ExceptionModel, U64HashBuilder};
 use rf_isa::RegClass;
 use std::collections::HashMap;
 use std::fmt;
@@ -181,7 +181,9 @@ pub struct Sanitizer {
     /// Registers staged for freeing this cycle (return to Free at
     /// cycle end, mirroring `PhysRegFile::end_cycle`).
     staged_regs: [Vec<u32>; 2],
-    journal: HashMap<u64, RenameRec>,
+    /// In-flight renames by sequence number. A map, not a ring, so a
+    /// sequence number reused after a squash journals afresh.
+    journal: HashMap<u64, RenameRec, U64HashBuilder>,
     last_commit: Option<u64>,
     events: u64,
     total_violations: u64,
@@ -200,7 +202,7 @@ impl Sanitizer {
             map: [[0; 31]; 2],
             rev: [vec![None; phys_regs], vec![None; phys_regs]],
             staged_regs: [Vec::new(), Vec::new()],
-            journal: HashMap::new(),
+            journal: HashMap::default(),
             last_commit: None,
             events: 0,
             total_violations: 0,
@@ -584,11 +586,14 @@ impl Observer for Sanitizer {
                     ),
                 );
             }
-            // Staged frees become reusable next cycle.
-            let staged = std::mem::take(&mut self.staged_regs[class.index()]);
-            for p in &staged {
-                self.set_state(class, *p, RegSt::Free);
+            // Staged frees become reusable next cycle. The buffer goes
+            // back cleared, not dropped, so its capacity carries over.
+            let mut staged = std::mem::take(&mut self.staged_regs[class.index()]);
+            for &p in &staged {
+                self.set_state(class, p, RegSt::Free);
             }
+            staged.clear();
+            self.staged_regs[class.index()] = staged;
         }
     }
 }
@@ -641,6 +646,37 @@ mod tests {
         // Model: 63 free, 1 live; report something else.
         s.reg_file_state(3, RegClass::Int, 64, 0, 0);
         assert!(s.has(ViolationKind::FreelistConservation));
+    }
+
+    #[test]
+    fn a_squashed_sequence_number_renamed_again_retires_cleanly() {
+        use rf_isa::OpKind;
+        let step = |cycle, kind, freed| TraceEvent {
+            cycle,
+            seq: 7,
+            kind,
+            op: OpKind::IntAlu,
+            pc: 0,
+            wrong_path: false,
+            dest: None,
+            freed,
+        };
+        let mut s = Sanitizer::new(64, ExceptionModel::Precise);
+        for v in 0..31u8 {
+            s.arch_map(RegClass::Int, v, u32::from(v));
+        }
+        // Wrong path: seq 7 renames v1 to p40, then squashes it away.
+        s.rename(1, 7, RegClass::Int, 1, 40, 1);
+        s.event(step(2, EventKind::Squash, Some((RegClass::Int, 40))));
+        s.cycle_end(2, false, false);
+        // Right path: the reused seq 7 renames v1 again and commits,
+        // freeing the displaced p1.
+        s.rename(3, 7, RegClass::Int, 1, 40, 1);
+        s.event(step(4, EventKind::Commit, Some((RegClass::Int, 1))));
+        s.cycle_end(4, false, false);
+        s.reg_file_state(5, RegClass::Int, 33, 31, 0);
+        assert!(s.is_clean(), "{}", s.report());
+        assert!(s.journal.is_empty(), "both renames retired");
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! # Hashing
 //!
 //! Keys are word-aligned simulated addresses, already well mixed by the
-//! workload generator's layout. [`AddrHashBuilder`] applies a fixed
+//! workload generator's layout. [`U64HashBuilder`] (shared with the
+//! `rf-check` oracle's and sanitizer's `u64`-keyed maps) applies a fixed
 //! SplitMix64 finalizer — deterministic (no per-process seed), ~4
 //! instructions, and strong enough for hashbrown's 7-bit control bytes.
 //! Nothing iterates the map, so determinism of results never depends on
@@ -32,11 +33,13 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
-/// SplitMix64 finalizer: a fixed, seedless avalanche of one `u64`.
+/// SplitMix64 finalizer: a fixed, seedless avalanche of one `u64` key
+/// (a simulated address or a sequence number), far cheaper than std's
+/// SipHash for maps keyed on trusted simulator values.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AddrHasher(u64);
+pub struct U64Hasher(u64);
 
-impl Hasher for AddrHasher {
+impl Hasher for U64Hasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         // Only u64 keys are ever hashed; tolerate other widths anyway.
@@ -59,22 +62,22 @@ impl Hasher for AddrHasher {
     }
 }
 
-/// [`BuildHasher`] for [`AddrHasher`]: stateless, so every map built
+/// [`BuildHasher`] for [`U64Hasher`]: stateless, so every map built
 /// from it hashes identically across runs and processes.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct AddrHashBuilder;
+pub struct U64HashBuilder;
 
-impl BuildHasher for AddrHashBuilder {
-    type Hasher = AddrHasher;
+impl BuildHasher for U64HashBuilder {
+    type Hasher = U64Hasher;
 
     #[inline]
-    fn build_hasher(&self) -> AddrHasher {
-        AddrHasher::default()
+    fn build_hasher(&self) -> U64Hasher {
+        U64Hasher::default()
     }
 }
 
 /// Backing map of a [`HazardIndex`], exposed for arena recycling.
-pub(crate) type AddrMap = HashMap<u64, Vec<u64>, AddrHashBuilder>;
+pub(crate) type AddrMap = HashMap<u64, Vec<u64>, U64HashBuilder>;
 
 /// Sequence numbers of the incomplete memory operations touching each
 /// address, kept sorted ascending (program order).
@@ -189,9 +192,9 @@ mod tests {
 
     #[test]
     fn hashing_is_deterministic_across_builders() {
-        let b = AddrHashBuilder;
+        let b = U64HashBuilder;
         let h1 = b.hash_one(0xdead_beefu64);
-        let h2 = AddrHashBuilder.hash_one(0xdead_beefu64);
+        let h2 = U64HashBuilder.hash_one(0xdead_beefu64);
         assert_eq!(h1, h2);
         assert_ne!(b.hash_one(0u64), b.hash_one(1u64));
     }

@@ -67,6 +67,7 @@ mod stats;
 pub use active::{ActiveEntry, ActiveList, Stage};
 pub use config::{ExceptionModel, MachineConfig, SchedPolicy};
 pub use fu::DividerPool;
+pub use hazard::{U64HashBuilder, U64Hasher};
 pub use imprecise::KillEngine;
 pub use obs::{EventKind, NullObserver, Observer, StallCause, TraceEvent};
 pub use pipeline::{skip_telemetry, CancelToken, Cancelled, Pipeline};

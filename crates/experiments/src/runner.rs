@@ -1107,9 +1107,7 @@ impl SimPool {
         // Insert into the cache in task order (not worker completion
         // order) so LRU stamps — and therefore evictions under a bounded
         // cache — are deterministic across worker counts.
-        let mut executed = self.execute(&tasks, opts);
-        executed.sort_unstable_by_key(|(t, _)| *t);
-        for (t, outcome) in executed {
+        for (t, outcome) in self.execute(&tasks, opts).into_iter().enumerate() {
             if let Ok(stats) = &outcome {
                 cache.insert(tasks[t].clone(), Arc::clone(stats));
                 if let Some(tier) = tier {
@@ -1124,58 +1122,84 @@ impl SimPool {
         results.into_iter().map(|r| r.expect("every spec resolved")).collect()
     }
 
-    /// Executes `tasks`, returning `(task_index, outcome)` pairs. With a
-    /// deadline set, a watchdog thread fires a shared [`CancelToken`] at
-    /// the deadline; workers check it before starting each task, and
-    /// running pipelines poll it cooperatively.
+    /// Executes `tasks` in input order: `result[t]` is `tasks[t]`'s
+    /// outcome. A task that starts after the deadline fails without
+    /// simulating; running pipelines poll the batch's cancel token.
     fn execute(
         &self,
         tasks: &[&RunSpec],
         opts: BatchOpts,
-    ) -> Vec<(usize, Result<Arc<SimStats>, RunError>)> {
-        if tasks.is_empty() {
-            return Vec::new();
-        }
+    ) -> Vec<Result<Arc<SimStats>, RunError>> {
         let deadline_ms =
             opts.deadline.map_or(0, |d| d.as_millis().min(u64::MAX as u128) as u64);
-        let start = Instant::now();
-        let cancel = CancelToken::new();
-        // One task on worker `w`; busy time is clocked only for live
-        // telemetry.
-        let run_one = |w: usize, spec: &RunSpec| -> Result<Arc<SimStats>, RunError> {
-            let _s = rf_prof::span("pool.task");
-            if cancel.is_cancelled() || opts.deadline.is_some_and(|d| start.elapsed() >= d) {
+        self.map(tasks, opts.deadline, |w, spec, cancel| {
+            if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(RunError::DeadlineExceeded {
                     benchmark: spec.benchmark.clone(),
                     deadline_ms,
                 });
             }
-            let token = opts.deadline.is_some().then_some(&cancel);
+            // Busy time is clocked only for live telemetry.
             let t0 = rf_obs::live::is_enabled().then(Instant::now);
-            let outcome = try_simulate_cancellable(spec, token, deadline_ms).map(Arc::new);
+            let outcome = try_simulate_cancellable(spec, cancel, deadline_ms).map(Arc::new);
             if let Some(t0) = t0 {
                 rf_obs::live::worker_task(w, t0.elapsed().as_nanos() as u64);
             }
             outcome
+        })
+    }
+
+    /// Runs `task(worker, input, cancel)` on every input across the
+    /// pool's workers and returns the outputs in input order, whatever
+    /// order they completed in.
+    ///
+    /// Workers are scoped threads pulling inputs from a shared atomic
+    /// cursor, so uneven task costs load-balance. With a `deadline`,
+    /// `cancel` is a token shared by the whole batch: a watchdog fires
+    /// it when the deadline elapses, and a worker fires it before
+    /// starting a task past the deadline, so a task that finds it
+    /// cancelled should give up at once. Without a deadline `cancel` is
+    /// `None`. A panicking task propagates its panic to the caller.
+    pub fn map<T, R, F>(&self, inputs: &[T], deadline: Option<Duration>, task: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T, Option<&CancelToken>) -> R + Sync,
+    {
+        let start = Instant::now();
+        let cancel = CancelToken::new();
+        let token = deadline.is_some().then_some(&cancel);
+        let run_one = |w: usize, x: &T| -> R {
+            let _s = rf_prof::span("pool.task");
+            if deadline.is_some_and(|d| start.elapsed() >= d) {
+                cancel.cancel();
+            }
+            task(w, x, token)
         };
-        let workers = self.jobs.min(tasks.len());
-        if workers <= 1 && opts.deadline.is_none() {
-            return tasks.iter().enumerate().map(|(t, spec)| (t, run_one(0, spec))).collect();
+        let workers = self.jobs.min(inputs.len());
+        if workers <= 1 && deadline.is_none() {
+            return inputs.iter().map(|x| run_one(0, x)).collect();
+        }
+        // The watchdog parks on this pair: woken early when the batch
+        // ends (or unwinds), otherwise it fires the cancel token at the
+        // deadline.
+        let parker = (Mutex::new(false), Condvar::new());
+        struct WakeOnDrop<'a>(&'a (Mutex<bool>, Condvar));
+        impl Drop for WakeOnDrop<'_> {
+            fn drop(&mut self) {
+                let (lock, cvar) = self.0;
+                *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
+                cvar.notify_all();
+            }
         }
         let cursor = AtomicUsize::new(0);
-        let mut done: Vec<(usize, Result<Arc<SimStats>, RunError>)> =
-            Vec::with_capacity(tasks.len());
-        // The watchdog parks on this pair: woken early when all work is
-        // done, otherwise it fires the cancel token at the deadline.
-        let parker = (Mutex::new(false), Condvar::new());
         std::thread::scope(|scope| {
-            if let Some(deadline) = opts.deadline {
+            if let Some(deadline) = deadline {
                 let cancel = &cancel;
                 let parker = &parker;
                 scope.spawn(move || {
                     let (lock, cvar) = parker;
-                    let mut finished =
-                        lock.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut finished = lock.lock().unwrap_or_else(PoisonError::into_inner);
                     while !*finished {
                         let elapsed = start.elapsed();
                         if elapsed >= deadline {
@@ -1189,6 +1213,7 @@ impl SimPool {
                     }
                 });
             }
+            let _wake = WakeOnDrop(&parker);
             if workers <= 1 {
                 // A deadline with a single worker: run inline on the
                 // calling thread (the watchdog above still enforces the
@@ -1196,13 +1221,7 @@ impl SimPool {
                 // thread here would make the profiler attribute both the
                 // worker's tasks and the caller's blocking join against
                 // the same wall time, double-counting coverage.
-                for (t, spec) in tasks.iter().enumerate() {
-                    done.push((t, run_one(0, spec)));
-                }
-                let (lock, cvar) = &parker;
-                *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                cvar.notify_all();
-                return;
+                return inputs.iter().map(|x| run_one(0, x)).collect();
             }
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -1212,9 +1231,9 @@ impl SimPool {
                         let worker_span = rf_prof::span("pool.worker");
                         let mut mine = Vec::new();
                         loop {
-                            let t = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(spec) = tasks.get(t) else { break };
-                            mine.push((t, run_one(w, spec)));
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(x) = inputs.get(i) else { break };
+                            mine.push((i, run_one(w, x)));
                         }
                         drop(worker_span);
                         // Scoped threads outlive their TLS destructors'
@@ -1227,17 +1246,13 @@ impl SimPool {
                 })
                 .collect();
             let _merge = rf_prof::span("pool.merge");
+            let mut done = Vec::with_capacity(inputs.len());
             for handle in handles {
-                // Workers cannot panic — simulation panics are caught
-                // inside `try_simulate_cancellable` — so a join failure
-                // here is a harness bug, not a model bug.
-                done.extend(handle.join().expect("simulation worker thread died"));
+                done.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
             }
-            let (lock, cvar) = &parker;
-            *lock.lock().unwrap_or_else(PoisonError::into_inner) = true;
-            cvar.notify_all();
-        });
-        done
+            done.sort_unstable_by_key(|&(i, _)| i);
+            done.into_iter().map(|(_, r)| r).collect()
+        })
     }
 }
 
@@ -1390,6 +1405,47 @@ mod tests {
         assert_eq!(*out[1], simulate(&b));
         // The duplicate was not simulated separately.
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn map_returns_input_order_under_uneven_task_costs() {
+        // Input 0 is the costliest: it finishes only after every other
+        // input has, so completion order is never input order.
+        let inputs: Vec<usize> = (0..12).collect();
+        for deadline in [None, Some(Duration::from_secs(3600))] {
+            let finished = Mutex::new(Vec::new());
+            let others_done = AtomicUsize::new(0);
+            let out = SimPool::new(3).map(&inputs, deadline, |_, &x, cancel| {
+                assert_eq!(cancel.is_some(), deadline.is_some());
+                if x == 0 {
+                    while others_done.load(Ordering::SeqCst) < inputs.len() - 1 {
+                        std::thread::yield_now();
+                    }
+                } else {
+                    others_done.fetch_add(1, Ordering::SeqCst);
+                }
+                finished.lock().expect("no task panics").push(x);
+                x * 10
+            });
+            assert_eq!(finished.into_inner().expect("no task panics").last(), Some(&0));
+            assert_eq!(out, inputs.iter().map(|x| x * 10).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn map_propagates_a_task_panic_without_waiting_out_the_deadline() {
+        let inputs: Vec<u64> = (0..6).collect();
+        for jobs in [1, 2] {
+            let start = Instant::now();
+            let caught = std::panic::catch_unwind(|| {
+                SimPool::new(jobs).map(&inputs, Some(Duration::from_secs(60)), |_, &x, _| {
+                    assert_ne!(x, 3, "task 3 fails");
+                    x
+                })
+            });
+            assert!(caught.is_err(), "jobs={jobs}: the panic reached the caller");
+            assert!(start.elapsed() < Duration::from_secs(30), "jobs={jobs}: waited for the watchdog");
+        }
     }
 
     #[test]

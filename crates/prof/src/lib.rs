@@ -308,14 +308,25 @@ impl Span {
         let idx = TREE.with(|t| t.borrow_mut().enter(name));
         Self(Some(ActiveSpan { start: Instant::now(), idx, weight }))
     }
-}
 
-impl Drop for Span {
-    #[inline]
-    fn drop(&mut self) {
+    /// Records an open span. Out of line and cold, so dropping an inert
+    /// span — every per-cycle span while profiling is off — inlines to
+    /// a single `is_some` test.
+    #[cold]
+    #[inline(never)]
+    fn close(&mut self) {
         if let Some(active) = self.0.take() {
             let ns = active.start.elapsed().as_nanos() as u64;
             let _ = TREE.try_with(|t| t.borrow_mut().exit(active.idx, ns, active.weight));
+        }
+    }
+}
+
+impl Drop for Span {
+    #[inline(always)]
+    fn drop(&mut self) {
+        if self.0.is_some() {
+            self.close();
         }
     }
 }

@@ -522,8 +522,10 @@ static CHECK: Cmd<'static> = Cmd {
     name: "rfstudy check",
     about: "  without options, checks all nine benchmarks at widths 4 and 8, precise
   and imprecise exceptions, 2048 and 64 registers; each option pins one
-  dimension; --deadline-secs covers the whole matrix. Exits non-zero if
-  any invariant or static bound is violated.",
+  dimension; --deadline-secs covers the whole matrix. The matrix runs on
+  RF_JOBS workers (default: all cores) and prints in matrix order, so the
+  output does not depend on the worker count. Exits non-zero if any
+  invariant or static bound is violated.",
     args: &[&DEADLINE.info],
     groups: &[&MATRIX],
 };

@@ -61,11 +61,16 @@ fn main() -> ExitCode {
 /// Strictly parses the environment knobs `cmd` reads, so a malformed
 /// value is a usage error (exit 2) rather than a silent default:
 /// `RF_SANITIZE` for `run` and `replay`, `RF_COMMITS` for the commands
-/// that expand a configuration matrix.
+/// that expand a configuration matrix, and `RF_JOBS` for the ones that
+/// simulate it on the pool.
 fn env_knobs(cmd: &Command) -> Result<(), String> {
     match cmd {
         Command::Run { .. } | Command::Replay { .. } => rf_check::sanitize_mode().map(drop),
-        Command::Check { .. } | Command::Model { .. } | Command::Profile { .. } => {
+        Command::Check { .. } | Command::Model { check: true, .. } => {
+            rf_experiments::runner::Scale::try_from_env()?;
+            rf_experiments::runner::SimPool::try_from_env().map(drop)
+        }
+        Command::Model { .. } | Command::Profile { .. } => {
             rf_experiments::runner::Scale::try_from_env().map(drop)
         }
         _ => Ok(()),
@@ -305,23 +310,27 @@ fn run_replay(
 /// default matrix when no dimension is pinned).
 fn run_check(pins: &cli::MatrixPins, deadline: Option<Duration>) -> Result<(), String> {
     let matrix = pins.expand()?;
-    // One token for every cross-validation pipeline, so the deadline
-    // covers the whole matrix, not each configuration separately.
-    let cancel = watchdog(deadline);
+    // The pool's one cancel token covers the whole matrix, not each
+    // configuration separately. Each worker renders its own report;
+    // printing waits for the batch so stdout is in matrix order.
+    let pool = rf_experiments::runner::SimPool::try_from_env()?;
+    let rendered = pool.map(&matrix, deadline, |_, params, cancel| {
+        let report = rf_check::cross_validate_cancellable(params, cancel)?;
+        Ok::<_, String>(if report.passed() {
+            // One summary line per clean configuration.
+            (true, format!("{}\n", report.render().lines().next().unwrap_or("")))
+        } else {
+            (false, report.render())
+        })
+    });
 
     let mut failures = 0u64;
     let mut runs = 0u64;
-    for params in &matrix {
-        let report = rf_check::cross_validate_cancellable(params, cancel.as_ref())?;
+    for outcome in rendered {
+        let (passed, text) = outcome?;
         runs += 1;
-        if report.passed() {
-            // One summary line per clean configuration.
-            print!("{}", report.render().lines().next().unwrap_or(""));
-            println!();
-        } else {
-            failures += 1;
-            print!("{}", report.render());
-        }
+        failures += u64::from(!passed);
+        print!("{text}");
     }
     println!("check: {runs} configurations, {failures} failed");
     if failures > 0 {
